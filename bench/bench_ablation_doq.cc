@@ -10,6 +10,7 @@
 #include "client/doh.h"
 #include "client/doq.h"
 #include "client/dot.h"
+#include "core/world.h"
 #include "stats/quantile.h"
 
 using namespace ednsm;

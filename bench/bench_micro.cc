@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "client/session.h"
-#include "core/campaign.h"
+#include "core/pipeline.h"
 #include "util/json.h"
 #include "dns/base64url.h"
 #include "dns/message.h"
@@ -22,6 +22,7 @@
 #include "obs/trace.h"
 #include "lint/lint.h"
 #include "resolver/cache.h"
+#include "resolver/registry.h"
 #include "util/ring_stats.h"
 #include "util/spsc_ring.h"
 #include "resolver/server.h"
@@ -155,12 +156,12 @@ void BM_CacheInsertEvict(benchmark::State& state) {
 BENCHMARK(BM_CacheInsertEvict);
 
 void BM_JsonDumpRecord(benchmark::State& state) {
-  core::JsonObject o;
-  o["vantage"] = core::Json("ec2-ohio");
-  o["resolver"] = core::Json("dns.google");
-  o["response_ms"] = core::Json(31.25);
-  o["ok"] = core::Json(true);
-  const core::Json j(std::move(o));
+  util::JsonObject o;
+  o["vantage"] = util::Json("ec2-ohio");
+  o["resolver"] = util::Json("dns.google");
+  o["response_ms"] = util::Json(31.25);
+  o["ok"] = util::Json(true);
+  const util::Json j(std::move(o));
   for (auto _ : state) {
     benchmark::DoNotOptimize(j.dump());
   }
@@ -171,7 +172,7 @@ void BM_JsonParseRecord(benchmark::State& state) {
   const std::string text =
       R"({"ok":true,"resolver":"dns.google","response_ms":31.25,"vantage":"ec2-ohio"})";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Json::parse(text));
+    benchmark::DoNotOptimize(util::Json::parse(text));
   }
 }
 BENCHMARK(BM_JsonParseRecord);
@@ -225,10 +226,10 @@ void BM_CampaignRound(benchmark::State& state) {
   spec.vantage_ids = {"ec2-ohio"};
   spec.rounds = 1;
   spec.seed = 7;
+  const core::ShardPlan plan{0, spec.vantage_ids[0], spec.seed};
   for (auto _ : state) {
-    core::SimWorld world(spec.seed);
-    core::CampaignResult result = core::CampaignRunner(world, spec).run();
-    benchmark::DoNotOptimize(result.records.size());
+    const core::ShardOutcome outcome = core::run_shard(spec, plan, {});
+    benchmark::DoNotOptimize(outcome.result.records.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(spec.resolvers.size()));
@@ -246,13 +247,13 @@ void BM_TraceOverheadOnOff(benchmark::State& state) {
   spec.vantage_ids = {"ec2-ohio"};
   spec.rounds = 1;
   spec.seed = 7;
+  const core::ShardPlan plan{0, spec.vantage_ids[0], spec.seed};
   std::uint64_t events = 0;
   for (auto _ : state) {
-    core::SimWorld world(spec.seed);
-    if (traced) world.tracer().enable();
-    core::CampaignResult result = core::CampaignRunner(world, spec).run();
-    benchmark::DoNotOptimize(result.records.size());
-    if (traced) events += world.tracer().emitted();
+    const core::ShardOutcome outcome =
+        core::run_shard(spec, plan, core::CampaignObsOptions{.trace = traced});
+    benchmark::DoNotOptimize(outcome.result.records.size());
+    events += outcome.trace.emitted;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(spec.resolvers.size()));

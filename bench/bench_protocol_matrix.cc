@@ -28,14 +28,13 @@ int main() {
   std::map<client::Protocol, double> error_rates;
 
   for (const auto protocol : protocols) {
-    core::SimWorld world(bench::kDefaultSeed);
     core::MeasurementSpec spec;
     spec.resolvers = resolvers;
     spec.vantage_ids = {"ec2-ohio"};
     spec.protocol = protocol;
     spec.rounds = 20;
     spec.seed = bench::kDefaultSeed;
-    const core::CampaignResult result = core::CampaignRunner(world, spec).run();
+    const core::CampaignResult result = core::run_parallel_campaign(spec, 1);
     for (const std::string& host : resolvers) {
       medians[host][protocol] = stats::median(result.response_times("ec2-ohio", host));
     }

@@ -4,14 +4,14 @@
 //   $ ./quickstart [seed]
 //
 // Walkthrough:
-//   1. Build a SimWorld (simulated internet + the paper's resolver fleet).
-//   2. Describe the measurement in a MeasurementSpec.
-//   3. Run the campaign; get records back.
-//   4. Summarize.
+//   1. Describe the measurement in a MeasurementSpec.
+//   2. Run the campaign: each vantage is simulated in its own world
+//      (simulated internet + the paper's resolver fleet); get records back.
+//   3. Summarize.
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/table.h"
 #include "stats/quantile.h"
 
@@ -19,8 +19,6 @@ int main(int argc, char** argv) {
   using namespace ednsm;
 
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  core::SimWorld world(seed);
-
   core::MeasurementSpec spec;
   spec.resolvers = {"dns.google", "security.cloudflare-dns.com", "dns.quad9.net",
                     "ordns.he.net", "freedns.controld.com", "doh.ffmuc.net",
@@ -29,8 +27,7 @@ int main(int argc, char** argv) {
   spec.rounds = 25;
   spec.seed = seed;
 
-  core::CampaignRunner runner(world, spec);
-  const core::CampaignResult result = runner.run();
+  const core::CampaignResult result = core::run_parallel_campaign(spec, /*threads=*/1);
 
   report::Table table({"Resolver", "median (ms)", "p90 (ms)", "ping (ms)", "ok", "err"});
   for (const std::string& host : spec.resolvers) {

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/table.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   const std::string vantage = argc > 1 ? argv[1] : "ec2-frankfurt";
   const int rounds = argc > 2 ? std::atoi(argv[2]) : 8;
 
-  core::SimWorld world(13);
   core::MeasurementSpec spec;
   for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
   spec.vantage_ids = {vantage};
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
 
   std::printf("scanning %zu public DoH resolvers from %s (%d rounds)...\n\n",
               spec.resolvers.size(), vantage.c_str(), rounds);
-  const core::CampaignResult result = core::CampaignRunner(world, spec).run();
+  const core::CampaignResult result = core::run_parallel_campaign(spec, /*threads=*/1);
   const geo::GeoDb geodb = resolver::build_geodb();
 
   struct Candidate {

@@ -2,9 +2,6 @@
 
 #include <ostream>
 
-#include "obs/trace.h"
-#include <stdexcept>
-
 namespace ednsm::core {
 
 PairSampleIndex PairSampleIndex::build(const std::vector<ResultRecord>& records,
@@ -13,13 +10,13 @@ PairSampleIndex PairSampleIndex::build(const std::vector<ResultRecord>& records,
   for (const ResultRecord& r : records) {
     if (!r.ok) continue;
     const auto key =
-        InternTable::pair_key(idx.vantages_.intern(r.vantage), idx.resolvers_.intern(r.resolver));
+        util::InternTable::pair_key(idx.vantages_.intern(r.vantage), idx.resolvers_.intern(r.resolver));
     idx.responses_[key].push_back(r.response_ms);
   }
   for (const PingRecord& p : pings) {
     if (!p.ok) continue;
     const auto key =
-        InternTable::pair_key(idx.vantages_.intern(p.vantage), idx.resolvers_.intern(p.resolver));
+        util::InternTable::pair_key(idx.vantages_.intern(p.vantage), idx.resolvers_.intern(p.resolver));
     idx.pings_[key].push_back(p.rtt_ms);
   }
   idx.records_indexed_ = records.size();
@@ -29,13 +26,13 @@ PairSampleIndex PairSampleIndex::build(const std::vector<ResultRecord>& records,
 
 namespace {
 const std::vector<double>* lookup_pair(
-    const InternTable& vantages, const InternTable& resolvers,
+    const util::InternTable& vantages, const util::InternTable& resolvers,
     const std::unordered_map<std::uint64_t, std::vector<double>>& samples,
     std::string_view vantage, std::string_view resolver) {
   const auto v = vantages.find(vantage);
   const auto r = resolvers.find(resolver);
   if (!v.has_value() || !r.has_value()) return nullptr;
-  const auto it = samples.find(InternTable::pair_key(*v, *r));
+  const auto it = samples.find(util::InternTable::pair_key(*v, *r));
   return it == samples.end() ? nullptr : &it->second;
 }
 }  // namespace
@@ -70,21 +67,21 @@ std::vector<double> CampaignResult::ping_times(const std::string& vantage,
   return samples == nullptr ? std::vector<double>{} : *samples;
 }
 
-Json CampaignResult::to_json() const {
-  JsonObject o;
+util::Json CampaignResult::to_json() const {
+  util::JsonObject o;
   o["spec"] = spec.to_json();
-  JsonArray recs;
+  util::JsonArray recs;
   recs.reserve(records.size());
   for (const ResultRecord& r : records) recs.push_back(r.to_json());
-  o["records"] = Json(std::move(recs));
-  JsonArray pngs;
+  o["records"] = util::Json(std::move(recs));
+  util::JsonArray pngs;
   pngs.reserve(pings.size());
   for (const PingRecord& p : pings) pngs.push_back(p.to_json());
-  o["pings"] = Json(std::move(pngs));
-  return Json(std::move(o));
+  o["pings"] = util::Json(std::move(pngs));
+  return util::Json(std::move(o));
 }
 
-Result<CampaignResult> CampaignResult::from_json(const Json& j) {
+Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
   if (!j.is_object()) return Err{std::string("campaign: not an object")};
   CampaignResult out;
   auto spec = MeasurementSpec::from_json(j.at("spec"));
@@ -92,14 +89,14 @@ Result<CampaignResult> CampaignResult::from_json(const Json& j) {
   out.spec = std::move(spec).value();
 
   if (!j.at("records").is_array()) return Err{std::string("campaign: missing records")};
-  for (const Json& e : j.at("records").as_array()) {
+  for (const util::Json& e : j.at("records").as_array()) {
     auto r = ResultRecord::from_json(e);
     if (!r) return Err{r.error()};
     out.availability.record(r.value());
     out.records.push_back(std::move(r).value());
   }
   if (j.at("pings").is_array()) {
-    for (const Json& e : j.at("pings").as_array()) {
+    for (const util::Json& e : j.at("pings").as_array()) {
       auto p = PingRecord::from_json(e);
       if (!p) return Err{p.error()};
       out.pings.push_back(std::move(p).value());
@@ -110,67 +107,6 @@ Result<CampaignResult> CampaignResult::from_json(const Json& j) {
 
 void CampaignResult::write_json(std::ostream& os, int indent) const {
   os << to_json().dump(indent) << '\n';
-}
-
-CampaignRunner::CampaignRunner(SimWorld& world, MeasurementSpec spec)
-    : world_(world), spec_(std::move(spec)) {}
-
-CampaignResult CampaignRunner::run() {
-  if (auto v = spec_.validate(); !v) {
-    throw std::invalid_argument("CampaignRunner: invalid spec: " + v.error());
-  }
-
-  CampaignResult result;
-  result.spec = spec_;
-  const ProbeScheduler scheduler(spec_);
-  // Campaigns may run back-to-back in one world (the paper's monthly
-  // follow-up spans); schedule relative to the current simulated time.
-  const netsim::SimTime base = world_.queue().now();
-
-  // Touch every vantage up front so host attachment order (and therefore the
-  // RNG consumption order) is independent of round scheduling.
-  for (const std::string& vid : spec_.vantage_ids) (void)world_.vantage(vid);
-
-  // Scripted outages: take the resolver offline at the start of from_round
-  // and restore it at the start of to_round. Scheduled before the round
-  // probes so same-instant ties (the queue fires ties in schedule order)
-  // apply the fault before any query of that round. set_behavior draws no
-  // RNG, so an empty fault list leaves the run byte-identical.
-  for (const FaultWindow& w : spec_.fault_windows) {
-    world_.queue().schedule_at(base + scheduler.round_start(w.from_round, 0),
-                               [this, hostname = w.resolver] {
-                                 world_.fleet().set_offline(hostname, true);
-                               });
-    world_.queue().schedule_at(base + scheduler.round_start(w.to_round, 0),
-                               [this, hostname = w.resolver] {
-                                 world_.fleet().set_offline(hostname, false);
-                               });
-  }
-
-  for (int round = 0; round < spec_.rounds; ++round) {
-    for (std::size_t vi = 0; vi < spec_.vantage_ids.size(); ++vi) {
-      const std::string vantage_id = spec_.vantage_ids[vi];
-      const netsim::SimTime start = base + scheduler.round_start(round, vi);
-      world_.queue().schedule_at(start, [this, &result, vantage_id, round] {
-        OBS_SPAN(world_.queue(), "core", "round-dispatch");
-        for (const std::string& hostname : spec_.resolvers) {
-          PingProbe::run(world_, vantage_id, hostname, spec_.ping_timeout, round,
-                         [&result](PingRecord rec) { result.pings.push_back(std::move(rec)); });
-          DnsProbe::run(world_, vantage_id, hostname, spec_.domains, spec_.protocol,
-                        spec_.query_options, round,
-                        [&result](std::vector<ResultRecord> recs) {
-                          for (ResultRecord& r : recs) {
-                            result.availability.record(r);
-                            result.records.push_back(std::move(r));
-                          }
-                        });
-        }
-      });
-    }
-  }
-
-  world_.run();
-  return result;
 }
 
 }  // namespace ednsm::core

@@ -1,10 +1,7 @@
-// CampaignRunner: executes a MeasurementSpec end-to-end in a SimWorld.
-//
-// Per round and vantage, every resolver gets one PingProbe and one DnsProbe
-// (three domains, sequential) — the §3.2 measurement procedure. Probes to
-// different resolvers run concurrently, like the tool's per-resolver loop
-// pipelined across a round. Results accumulate into CampaignResult, which
-// can be serialized to the tool's JSON output format and re-loaded.
+// CampaignResult: what a campaign measured — the tool's JSON output format
+// (spec, records, pings) plus the availability ledger and a lazily built
+// per-(vantage, resolver) sample index. Campaigns are run by the sharded
+// engine in core/parallel_campaign.h.
 #pragma once
 
 #include <iosfwd>
@@ -13,11 +10,8 @@
 #include <unordered_map>
 
 #include "core/availability.h"
-#include "util/intern.h"
-#include "core/probe.h"
-#include "core/scheduler.h"
 #include "core/spec.h"
-#include "core/world.h"
+#include "util/intern.h"
 
 namespace ednsm::core {
 
@@ -40,8 +34,8 @@ class PairSampleIndex {
   [[nodiscard]] std::size_t pings_indexed() const noexcept { return pings_indexed_; }
 
  private:
-  InternTable vantages_;
-  InternTable resolvers_;
+  util::InternTable vantages_;
+  util::InternTable resolvers_;
   std::unordered_map<std::uint64_t, std::vector<double>> responses_;
   std::unordered_map<std::uint64_t, std::vector<double>> pings_;
   std::size_t records_indexed_ = 0;
@@ -70,8 +64,8 @@ struct CampaignResult {
   [[nodiscard]] const PairSampleIndex& index() const;
 
   // The tool's JSON output (object with "spec", "records", "pings").
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<CampaignResult> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<CampaignResult> from_json(const util::Json& j);
 
   void write_json(std::ostream& os, int indent = 2) const;
 
@@ -79,20 +73,6 @@ struct CampaignResult {
   // shared_ptr keeps CampaignResult copyable (copies share the cache until
   // either side rebuilds its own).
   mutable std::shared_ptr<const PairSampleIndex> sample_index_;
-};
-
-class CampaignRunner {
- public:
-  CampaignRunner(SimWorld& world, MeasurementSpec spec);
-
-  // Schedules all rounds and drains the event queue. Deterministic for a
-  // given (spec, world seed). Throws std::invalid_argument on a spec that
-  // fails validation (programming error at this layer).
-  [[nodiscard]] CampaignResult run();
-
- private:
-  SimWorld& world_;
-  MeasurementSpec spec_;
 };
 
 }  // namespace ednsm::core

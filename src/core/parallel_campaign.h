@@ -20,12 +20,10 @@
 // per-shard encode work (round bucketing) concurrently with shards still
 // simulating, and finally assembles the canonical merge (the sink stage).
 //
-// Note the decomposition is *defined* this way rather than derived from the
-// legacy single-world run: a single SimWorld threads one RNG stream through
-// every vantage's traffic, so its exact output cannot be reproduced shard by
-// shard. A sharded run is instead exactly "each vantage measured as its own
-// single-vantage campaign", which is also the more faithful model of the
-// paper's fleet of independent probing machines.
+// This is the only campaign engine: the CLI, the monitor, diagnosis, the
+// benches and the shard/merge path all run it. Each vantage is measured as
+// its own single-vantage campaign in its own world, which is the faithful
+// model of the paper's fleet of independent probing machines.
 #pragma once
 
 #include <functional>
@@ -57,11 +55,5 @@ void run_pipeline(const MeasurementSpec& spec, const std::vector<ShardPlan>& pla
 [[nodiscard]] CampaignResult run_parallel_campaign(const MeasurementSpec& spec, int threads,
                                                    const CampaignObsOptions& obs_options,
                                                    CampaignObsData* obs_out);
-
-// Re-run `spec` under `sweeps` derived seeds (splitmix64 from spec.seed),
-// sweeping whole campaigns across the worker pool — the "many more seeds
-// than the paper's runs" workload. Results come back in seed order.
-[[nodiscard]] std::vector<CampaignResult> run_seed_sweep(const MeasurementSpec& spec,
-                                                         std::size_t sweeps, int threads);
 
 }  // namespace ednsm::core

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "core/probe.h"
+#include "core/scheduler.h"
+#include "core/world.h"
 #include "netsim/rng.h"
 
 namespace ednsm::core {
@@ -17,6 +20,59 @@ std::vector<std::vector<Record>> bucket_by_round(std::vector<Record> from, int r
     buckets.at(static_cast<std::size_t>(r.round)).push_back(std::move(r));
   }
   return buckets;
+}
+
+// The simulation behind every shard: one vantage measured as its own
+// campaign in a fresh world. Per round, every resolver gets one PingProbe and
+// one DnsProbe (three domains, sequential) — the §3.2 measurement procedure.
+// Probes to different resolvers run concurrently, like the tool's
+// per-resolver loop pipelined across a round. `spec` names exactly one
+// vantage and `world` is fresh, so rounds are scheduled from SimTime 0.
+CampaignResult simulate_vantage(SimWorld& world, const MeasurementSpec& spec) {
+  CampaignResult result;
+  result.spec = spec;
+  const std::string& vantage_id = spec.vantage_ids.front();
+  const ProbeScheduler scheduler(spec);
+
+  // Touch the vantage up front so host attachment order (and therefore the
+  // RNG consumption order) is independent of round scheduling.
+  (void)world.vantage(vantage_id);
+
+  // Scripted outages: take the resolver offline at the start of from_round
+  // and restore it at the start of to_round. Scheduled before the round
+  // probes so same-instant ties (the queue fires ties in schedule order)
+  // apply the fault before any query of that round. set_behavior draws no
+  // RNG, so an empty fault list leaves the run byte-identical.
+  for (const FaultWindow& w : spec.fault_windows) {
+    world.queue().schedule_at(scheduler.round_start(w.from_round, 0),
+                              [&world, hostname = w.resolver] {
+                                world.fleet().set_offline(hostname, true);
+                              });
+    world.queue().schedule_at(scheduler.round_start(w.to_round, 0),
+                              [&world, hostname = w.resolver] {
+                                world.fleet().set_offline(hostname, false);
+                              });
+  }
+
+  for (int round = 0; round < spec.rounds; ++round) {
+    world.queue().schedule_at(scheduler.round_start(round, 0), [&, round] {
+      OBS_SPAN(world.queue(), "core", "round-dispatch");
+      for (const std::string& hostname : spec.resolvers) {
+        PingProbe::run(world, vantage_id, hostname, spec.ping_timeout, round,
+                       [&result](PingRecord rec) { result.pings.push_back(std::move(rec)); });
+        DnsProbe::run(world, vantage_id, hostname, spec.domains, spec.protocol,
+                      spec.query_options, round, [&result](std::vector<ResultRecord> recs) {
+                        for (ResultRecord& r : recs) {
+                          result.availability.record(r);
+                          result.records.push_back(std::move(r));
+                        }
+                      });
+      }
+    });
+  }
+
+  world.run();
+  return result;
 }
 
 }  // namespace
@@ -127,7 +183,7 @@ ShardOutcome run_shard(const MeasurementSpec& spec, const ShardPlan& plan,
 
   SimWorld world(shard_spec.seed);
   if (obs.trace) world.tracer().enable(obs.trace_capacity);
-  out.result = CampaignRunner(world, shard_spec).run();
+  out.result = simulate_vantage(world, shard_spec);
   if (obs.trace) out.trace = world.tracer().drain();
   if (obs.metrics) world.collect_metrics(out.metrics);
   return out;

@@ -25,8 +25,8 @@ struct FaultWindow {
   int from_round = 0;
   int to_round = 0;
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<FaultWindow> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<FaultWindow> from_json(const util::Json& j);
 };
 
 struct MeasurementSpec {
@@ -39,16 +39,17 @@ struct MeasurementSpec {
   netsim::SimDuration round_interval = std::chrono::hours(8);  // "three times a day"
   netsim::SimDuration ping_timeout = std::chrono::seconds(3);
   std::uint64_t seed = 1;
-  // Scripted outages applied by CampaignRunner; empty (the default) leaves
-  // campaign behavior byte-identical to specs written before the field.
+  // Scripted outages applied by every shard's simulation; empty (the
+  // default) leaves campaign behavior byte-identical to specs written before
+  // the field.
   std::vector<FaultWindow> fault_windows;
 
   // Validate invariants (non-empty lists, positive rounds); returns an
   // explanation on failure.
   [[nodiscard]] Result<void> validate() const;
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<MeasurementSpec> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<MeasurementSpec> from_json(const util::Json& j);
 };
 
 // One DNS query result.
@@ -81,8 +82,8 @@ struct ResultRecord {
   int http_status = 0;
   int answer_count = 0;
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<ResultRecord> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<ResultRecord> from_json(const util::Json& j);
 };
 
 // Maps an error_class string to the query phase it failed in. Returns "" for
@@ -97,8 +98,8 @@ struct PingRecord {
   bool ok = false;
   double rtt_ms = 0;  // valid when ok
 
-  [[nodiscard]] Json to_json() const;
-  [[nodiscard]] static Result<PingRecord> from_json(const Json& j);
+  [[nodiscard]] util::Json to_json() const;
+  [[nodiscard]] static Result<PingRecord> from_json(const util::Json& j);
 };
 
 }  // namespace ednsm::core

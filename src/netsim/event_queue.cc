@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
-
 namespace ednsm::netsim {
 
 EventQueue::EventId EventQueue::schedule(SimDuration delay, Callback cb) {
@@ -57,7 +55,7 @@ std::size_t EventQueue::run_until_idle() {
     if (heap_.empty()) break;
     pop_front(e);
     now_ = e.when;
-    OBS_EVENT(*this, "netsim", "dispatch");
+    trace_instant(trace_hook_, "netsim", "dispatch", now_);
     e.cb();
     e.cb.reset();
     ++executed;
@@ -74,7 +72,7 @@ std::size_t EventQueue::run_until(SimTime deadline) {
     if (heap_.empty() || heap_.front().when > deadline) break;
     pop_front(e);
     now_ = e.when;
-    OBS_EVENT(*this, "netsim", "dispatch");
+    trace_instant(trace_hook_, "netsim", "dispatch", now_);
     e.cb();
     e.cb.reset();
     ++executed;

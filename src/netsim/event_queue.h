@@ -27,6 +27,7 @@
 
 #include "netsim/callback.h"
 #include "netsim/time.h"
+#include "netsim/trace_hook.h"
 
 namespace ednsm::obs {
 class Tracer;
@@ -73,9 +74,17 @@ class EventQueue {
   // every subsystem already holds a reference to, so it doubles as the trace
   // attachment point: anything with queue access can emit via the OBS_*
   // macros. Null (the default) means "tracing impossible", which the macros
-  // check before the enabled flag.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
+  // check before the enabled flag. netsim itself reports through the same
+  // object seen as its TraceHook, so it never needs the obs headers; the
+  // setter is a template so that conversion happens where obs::Tracer is a
+  // complete type.
+  template <typename Tracer>
+  void set_tracer(Tracer* tracer) noexcept {
+    tracer_ = tracer;
+    trace_hook_ = tracer;
+  }
   [[nodiscard]] obs::Tracer* tracer() const noexcept { return tracer_; }
+  [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
 
  private:
   struct Entry {
@@ -109,6 +118,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_total_ = 0;
   obs::Tracer* tracer_ = nullptr;
+  TraceHook* trace_hook_ = nullptr;
   std::vector<Entry> heap_;
   // Liveness flags for ids [base_, next_seq_); see the header comment.
   std::uint64_t base_ = 0;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "obs/trace.h"
-
 namespace ednsm::netsim {
 
 IpAddr Network::attach(std::string label, geo::GeoPoint location, AccessLinkModel access) {
@@ -69,14 +67,14 @@ void Network::send(Datagram dgram) {
   const auto trip = sample_trip(dgram.src.ip, dgram.dst.ip);
   if (!trip.has_value()) {
     ++stats_.datagrams_dropped;
-    OBS_EVENT(queue_, "netsim", "datagram-loss");
+    trace_instant(queue_.trace_hook(), "netsim", "datagram-loss", queue_.now());
     return;
   }
   queue_.schedule(*trip, [this, d = std::move(dgram)]() {
     const auto it = bindings_.find(d.dst);
     if (it == bindings_.end()) {
       ++stats_.datagrams_unroutable;
-      OBS_EVENT(queue_, "netsim", "datagram-unroutable");
+      trace_instant(queue_.trace_hook(), "netsim", "datagram-unroutable", queue_.now());
       return;
     }
     ++stats_.datagrams_delivered;

@@ -26,16 +26,16 @@
 // `obs-span-balance` outside src/obs — manual pairs are how spans leak.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "netsim/time.h"
+#include "netsim/trace_hook.h"
 #include "util/intern.h"
 #include "util/json.h"
-#include "netsim/time.h"
 
 namespace ednsm::obs {
 
@@ -69,28 +69,24 @@ struct TraceData {
   [[nodiscard]] static Result<TraceData> from_json(const util::Json& j);
 };
 
-class Tracer {
+// Implements netsim's TraceHook, whose enabled() is the hot-path guard: a
+// relaxed atomic load, nothing else. Emission sites check it (via the OBS_*
+// macros) before touching any other state. `final`, so calls through a
+// Tracer* are direct.
+class Tracer final : public netsim::TraceHook {
  public:
   using SpanId = std::uint32_t;
 
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
 
   Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  // The hot-path guard: a relaxed atomic load, nothing else. Emission sites
-  // check this (via the OBS_* macros) before touching any other state.
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   // Start recording into a ring of `capacity` events. Idempotent; capacity
   // changes take effect only from an empty buffer.
   void enable(std::size_t capacity = kDefaultCapacity);
   void disable() noexcept { enabled_.store(false, std::memory_order_relaxed); }
 
-  void instant(std::string_view subsystem, std::string_view name, netsim::SimTime ts);
+  void instant(std::string_view subsystem, std::string_view name, netsim::SimTime ts) override;
   void complete(std::string_view subsystem, std::string_view name, netsim::SimTime begin,
                 netsim::SimDuration dur);
 
@@ -120,7 +116,6 @@ class Tracer {
 
   void push(const TraceEvent& e);
 
-  std::atomic<bool> enabled_{false};
   std::size_t capacity_ = kDefaultCapacity;
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;  // next overwrite position once the ring is full

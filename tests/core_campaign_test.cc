@@ -2,7 +2,9 @@
 
 #include <sstream>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
+#include "core/scheduler.h"
+#include "core/world.h"
 
 namespace ednsm::core {
 namespace {
@@ -40,9 +42,7 @@ TEST(Scheduler, SpanCoversAllRounds) {
 }
 
 TEST(Campaign, RecordCountsMatchSpec) {
-  SimWorld world(tiny_spec().seed);
-  CampaignRunner runner(world, tiny_spec());
-  const CampaignResult result = runner.run();
+  const CampaignResult result = run_parallel_campaign(tiny_spec(), 1);
   // rounds x vantages x resolvers x domains records.
   EXPECT_EQ(result.records.size(), 4u * 1u * 3u * 3u);
   // rounds x vantages x resolvers pings.
@@ -50,9 +50,9 @@ TEST(Campaign, RecordCountsMatchSpec) {
 }
 
 TEST(Campaign, RecordsCarryIdentity) {
-  SimWorld world(1);
-  CampaignRunner runner(world, tiny_spec());
-  const CampaignResult result = runner.run();
+  MeasurementSpec spec = tiny_spec();
+  spec.seed = 1;
+  const CampaignResult result = run_parallel_campaign(spec, 1);
   for (const ResultRecord& r : result.records) {
     EXPECT_EQ(r.vantage, "ec2-ohio");
     EXPECT_FALSE(r.resolver.empty());
@@ -69,10 +69,9 @@ TEST(Campaign, RecordsCarryIdentity) {
 
 TEST(Campaign, DeterministicForSeed) {
   auto run = [] {
-    SimWorld world(123);
     MeasurementSpec spec = tiny_spec();
     spec.seed = 123;
-    return CampaignRunner(world, spec).run();
+    return run_parallel_campaign(spec, 1);
   };
   const CampaignResult a = run();
   const CampaignResult b = run();
@@ -89,10 +88,11 @@ TEST(Campaign, DeterministicForSeed) {
 }
 
 TEST(Campaign, DifferentSeedsProduceDifferentSamples) {
-  SimWorld w1(1), w2(2);
   MeasurementSpec spec = tiny_spec();
-  const CampaignResult a = CampaignRunner(w1, spec).run();
-  const CampaignResult b = CampaignRunner(w2, spec).run();
+  spec.seed = 1;
+  const CampaignResult a = run_parallel_campaign(spec, 1);
+  spec.seed = 2;
+  const CampaignResult b = run_parallel_campaign(spec, 1);
   ASSERT_EQ(a.records.size(), b.records.size());
   int different = 0;
   for (std::size_t i = 0; i < a.records.size(); ++i) {
@@ -102,16 +102,15 @@ TEST(Campaign, DifferentSeedsProduceDifferentSamples) {
 }
 
 TEST(Campaign, InvalidSpecThrows) {
-  SimWorld world(1);
   MeasurementSpec bad = tiny_spec();
   bad.rounds = 0;
-  CampaignRunner runner(world, bad);
-  EXPECT_THROW((void)runner.run(), std::invalid_argument);
+  EXPECT_THROW((void)run_parallel_campaign(bad, 1), std::invalid_argument);
 }
 
 TEST(Campaign, ResponseTimeAccessors) {
-  SimWorld world(5);
-  const CampaignResult result = CampaignRunner(world, tiny_spec()).run();
+  MeasurementSpec spec = tiny_spec();
+  spec.seed = 5;
+  const CampaignResult result = run_parallel_campaign(spec, 1);
   const auto rts = result.response_times("ec2-ohio", "dns.google");
   EXPECT_GT(rts.size(), 6u);  // 12 queries, few failures at most
   const auto pings = result.ping_times("ec2-ohio", "dns.google");
@@ -120,14 +119,14 @@ TEST(Campaign, ResponseTimeAccessors) {
 }
 
 TEST(Campaign, JsonRoundTrip) {
-  SimWorld world(9);
   MeasurementSpec spec = tiny_spec();
   spec.rounds = 2;
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  spec.seed = 9;
+  const CampaignResult result = run_parallel_campaign(spec, 1);
 
   std::ostringstream os;
   result.write_json(os);
-  auto parsed = Json::parse(os.str());
+  auto parsed = util::Json::parse(os.str());
   ASSERT_TRUE(parsed.has_value()) << parsed.error();
   auto round = CampaignResult::from_json(parsed.value());
   ASSERT_TRUE(round.has_value()) << round.error();
@@ -142,11 +141,11 @@ TEST(Campaign, JsonRoundTrip) {
 }
 
 TEST(Campaign, MultiVantageRecordsAllVantages) {
-  SimWorld world(3);
   MeasurementSpec spec = tiny_spec();
   spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "home-chicago-1"};
   spec.rounds = 2;
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  spec.seed = 3;
+  const CampaignResult result = run_parallel_campaign(spec, 1);
   for (const std::string& vid : spec.vantage_ids) {
     int count = 0;
     for (const ResultRecord& r : result.records) {
@@ -221,27 +220,14 @@ TEST(World, FleetCoversWholeRegistry) {
 }
 
 
-TEST(Campaign, SequentialCampaignsInOneWorld) {
-  // The paper's follow-up spans: campaigns run back-to-back in one world,
-  // each scheduling relative to the simulation's current time.
-  SimWorld world(88);
-  MeasurementSpec spec = tiny_spec();
-  spec.rounds = 2;
-  const CampaignResult first = CampaignRunner(world, spec).run();
-  const CampaignResult second = CampaignRunner(world, spec).run();  // must not assert
-  EXPECT_EQ(first.records.size(), second.records.size());
-  // The second span's records carry later timestamps.
-  EXPECT_GT(second.records.front().issued_at_ms, first.records.back().issued_at_ms - 1.0);
-}
-
 TEST(Campaign, OutageIsObservedAndClears) {
-  SimWorld world(89);
   MeasurementSpec spec = tiny_spec();
   spec.rounds = 2;
+  spec.seed = 89;
   spec.resolvers = {"dns.google", "kronos.plan9-dns.com"};
 
-  world.fleet().set_offline("kronos.plan9-dns.com", true);
-  const CampaignResult down = CampaignRunner(world, spec).run();
+  spec.fault_windows = {{"kronos.plan9-dns.com", 0, spec.rounds}};
+  const CampaignResult down = run_parallel_campaign(spec, 1);
   EXPECT_TRUE(down.availability.unresponsive_from("ec2-ohio", "kronos.plan9-dns.com"));
   EXPECT_FALSE(down.availability.unresponsive_from("ec2-ohio", "dns.google"));
   // Every failed record is a connection failure, like a real dark host.
@@ -252,28 +238,28 @@ TEST(Campaign, OutageIsObservedAndClears) {
     }
   }
 
-  world.fleet().set_offline("kronos.plan9-dns.com", false);
-  const CampaignResult up = CampaignRunner(world, spec).run();
+  spec.fault_windows.clear();
+  const CampaignResult up = run_parallel_campaign(spec, 1);
   EXPECT_FALSE(up.availability.unresponsive_from("ec2-ohio", "kronos.plan9-dns.com"));
 }
 
 TEST(Campaign, OutageSilencesDo53Too) {
-  SimWorld world(90);
   MeasurementSpec spec = tiny_spec();
   spec.rounds = 1;
+  spec.seed = 90;
   spec.protocol = client::Protocol::Do53;
   spec.resolvers = {"kronos.plan9-dns.com"};
-  world.fleet().set_offline("kronos.plan9-dns.com", true);
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  spec.fault_windows = {{"kronos.plan9-dns.com", 0, spec.rounds}};
+  const CampaignResult result = run_parallel_campaign(spec, 1);
   for (const ResultRecord& r : result.records) EXPECT_FALSE(r.ok);
 }
 
 TEST(Campaign, DoqCampaignRuns) {
-  SimWorld world(91);
   MeasurementSpec spec = tiny_spec();
   spec.protocol = client::Protocol::DoQ;
   spec.rounds = 2;
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  spec.seed = 91;
+  const CampaignResult result = run_parallel_campaign(spec, 1);
   EXPECT_EQ(result.records.size(), 2u * 3u * 3u);
   int ok = 0;
   for (const ResultRecord& r : result.records) {

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/figures.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
@@ -14,15 +14,12 @@ namespace ednsm {
 namespace {
 
 using core::CampaignResult;
-using core::CampaignRunner;
 using core::MeasurementSpec;
-using core::SimWorld;
 
 // One shared campaign over a representative resolver subset from all vantage
 // classes. Built once; the assertions below slice it.
 const CampaignResult& shared_campaign() {
   static const CampaignResult kResult = [] {
-    SimWorld world(20250704);
     MeasurementSpec spec;
     spec.resolvers = {
         // mainstream
@@ -39,7 +36,7 @@ const CampaignResult& shared_campaign() {
     spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "ec2-seoul", "home-chicago-1"};
     spec.rounds = 20;
     spec.seed = 20250704;
-    return CampaignRunner(world, spec).run();
+    return core::run_parallel_campaign(spec, 1);
   }();
   return kResult;
 }
@@ -168,14 +165,13 @@ TEST(PaperShape, RemoteVantageGapTables) {
 
 // The full-registry world builds and every resolver is reachable from Ohio.
 TEST(Integration, EveryRegistryResolverAnswersFromOhio) {
-  SimWorld world(99);
   MeasurementSpec spec;
   for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
   spec.vantage_ids = {"ec2-ohio"};
   spec.rounds = 2;
   spec.domains = {"google.com"};
   spec.seed = 99;
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  const CampaignResult result = core::run_parallel_campaign(spec, 1);
   EXPECT_EQ(result.records.size(), resolver::paper_resolver_list().size() * 2);
   // No resolver may be entirely unresponsive over two rounds... except by
   // (unlikely) failure-injection coincidence; allow a tiny number.

@@ -1,6 +1,6 @@
 // Tests for the ednsm_lint analyzer engine itself: the pass-1 symbol index,
 // the pass-2 call graph, the determinism taint dataflow, the module-layering
-// DAG + include-cycle rules, and the committed-baseline mechanism. Fixture
+// DAG + include-cycle rules, and the JSON report. Fixture
 // rule coverage lives in lint_test.cc; this file exercises the machinery.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/baseline.h"
 #include "lint/graph.h"
 #include "lint/index.h"
 #include "lint/layers.h"
@@ -277,62 +276,6 @@ TEST(Layers, IncludeCycleFixtureIsRejected) {
   EXPECT_NE(diags[0].message.find("cycle_b.h"), std::string::npos);
 }
 
-// ---------------------------------------------------------------------------
-// Baseline mechanism.
-// ---------------------------------------------------------------------------
-
-TEST(Baseline, ParseApplyAndStaleDetection) {
-  std::vector<ednsm::lint::BaselineEntry> entries;
-  std::string error;
-  ASSERT_TRUE(ednsm::lint::parse_baseline(
-      R"({"findings": [
-        {"rule": "arch-layering", "path": "src/netsim/event_queue.cc",
-         "key": "netsim->obs", "reason": "impl-only tracer hook"},
-        {"rule": "arch-layering", "path": "src/ghost/gone.cc",
-         "key": "ghost->web", "reason": "stale on purpose"}
-      ]})",
-      &entries, &error))
-      << error;
-  ASSERT_EQ(entries.size(), 2u);
-
-  Diagnostic covered;
-  covered.path = "/abs/checkout/src/netsim/event_queue.cc";  // suffix match
-  covered.rule = "arch-layering";
-  covered.key = "netsim->obs";
-  Diagnostic uncovered;
-  uncovered.path = "src/core/spec.cc";
-  uncovered.rule = "codec-parity";
-
-  const auto result = ednsm::lint::apply_baseline({covered, uncovered}, entries);
-  ASSERT_EQ(result.remaining.size(), 1u);
-  EXPECT_EQ(result.remaining[0].rule, "codec-parity");
-  EXPECT_EQ(result.suppressed, 1u);
-  ASSERT_EQ(result.stale.size(), 1u);
-  EXPECT_EQ(result.stale[0].key, "ghost->web");
-}
-
-TEST(Baseline, RejectsEntriesWithoutReason) {
-  std::vector<ednsm::lint::BaselineEntry> entries;
-  std::string error;
-  EXPECT_FALSE(ednsm::lint::parse_baseline(
-      R"({"findings": [{"rule": "r", "path": "p", "key": ""}]})", &entries, &error));
-  EXPECT_NE(error.find("reason"), std::string::npos) << error;
-}
-
-TEST(Baseline, WriteRoundTripsThroughParse) {
-  Diagnostic d;
-  d.rule = "arch-layering";
-  d.path = "src/a/b.cc";
-  d.key = "a->b";
-  const std::string text = ednsm::lint::baseline_to_json({d, d});
-  std::vector<ednsm::lint::BaselineEntry> entries;
-  std::string error;
-  ASSERT_TRUE(ednsm::lint::parse_baseline(text, &entries, &error)) << error << "\n" << text;
-  ASSERT_EQ(entries.size(), 1u);  // identity-deduped
-  EXPECT_EQ(entries[0].rule, "arch-layering");
-  EXPECT_EQ(entries[0].key, "a->b");
-}
-
 TEST(Report, JsonFormatIsParseableShape) {
   Diagnostic d;
   d.rule = "determinism-taint";
@@ -366,19 +309,10 @@ ednsm::lint::Options repo_options() {
   return options;
 }
 
-// The committed tree conforms to the committed DAG, modulo exactly the
-// committed baseline (which must have no stale entries).
+// The committed tree conforms to the committed DAG with zero findings.
 TEST(LintTreeArch, CleanTreeConformsToLayersConf) {
-  auto diags = ednsm::lint::run_lint(load_repo_tree(), repo_options());
-  std::vector<ednsm::lint::BaselineEntry> entries;
-  std::string error;
-  ASSERT_TRUE(ednsm::lint::parse_baseline(
-      read_file(std::string(EDNSM_SOURCE_DIR) + "/tools/lint/baseline.json"), &entries, &error))
-      << error;
-  const auto result = ednsm::lint::apply_baseline(std::move(diags), entries);
-  EXPECT_TRUE(result.remaining.empty()) << dump(result.remaining);
-  EXPECT_TRUE(result.stale.empty());
-  EXPECT_EQ(result.suppressed, entries.size());
+  const auto diags = ednsm::lint::run_lint(load_repo_tree(), repo_options());
+  EXPECT_TRUE(diags.empty()) << dump(diags);
 }
 
 // Routing a wall-clock read through a helper into a JSON writer must trip

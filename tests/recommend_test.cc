@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/parallel_campaign.h"
 #include "core/recommend.h"
 
 namespace ednsm::core {
@@ -126,14 +127,13 @@ TEST(Recommend, ErrorRateMovesScore) {
 }
 
 TEST(Recommend, EndToEndOnRealCampaign) {
-  SimWorld world(101);
   MeasurementSpec spec;
   spec.resolvers = {"dns.google", "ordns.he.net", "freedns.controld.com",
                     "doh.ffmuc.net", "dns.alidns.com"};
   spec.vantage_ids = {"ec2-ohio"};
   spec.rounds = 8;
   spec.seed = 101;
-  const CampaignResult result = CampaignRunner(world, spec).run();
+  const CampaignResult result = run_parallel_campaign(spec, 1);
 
   const RecommendationReport report = recommend_resolvers(result, "ec2-ohio");
   ASSERT_GE(report.ranked.size(), 2u);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "core/campaign.h"
+#include "core/parallel_campaign.h"
 #include "report/boxplot.h"
 #include "report/decomposition.h"
 #include "report/figures.h"
@@ -110,7 +110,6 @@ class FigureTest : public ::testing::Test {
  protected:
   static const core::CampaignResult& result() {
     static const core::CampaignResult kResult = [] {
-      core::SimWorld world(31);
       core::MeasurementSpec spec;
       spec.resolvers = {"dns.google", "security.cloudflare-dns.com", "dns.quad9.net",
                         "ordns.he.net", "freedns.controld.com", "doh.ffmuc.net",
@@ -118,7 +117,7 @@ class FigureTest : public ::testing::Test {
       spec.vantage_ids = {"ec2-ohio", "ec2-frankfurt", "ec2-seoul"};
       spec.rounds = 12;
       spec.seed = 31;
-      return core::CampaignRunner(world, spec).run();
+      return core::run_parallel_campaign(spec, 1);
     }();
     return kResult;
   }
@@ -186,14 +185,13 @@ class DecompositionTest : public ::testing::Test {
  protected:
   static const core::CampaignResult& result() {
     static const core::CampaignResult kResult = [] {
-      core::SimWorld world(47);
       core::MeasurementSpec spec;
       spec.resolvers = {"dns.google", "ordns.he.net"};
       spec.vantage_ids = {"ec2-ohio"};
       spec.rounds = 4;
       spec.seed = 47;
       spec.query_options.reuse = transport::ReusePolicy::Keepalive;
-      return core::CampaignRunner(world, spec).run();
+      return core::run_parallel_campaign(spec, 1);
     }();
     return kResult;
   }

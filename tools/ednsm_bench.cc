@@ -11,7 +11,7 @@
 // Suites:
 //   fig2 (default) — the paper's Fig. 2 workload: the full Appendix A.2
 //     registry from the four global vantages, 30 rounds, on the staged
-//     pipeline engine (--threads N; 0 = legacy single-world engine).
+//     pipeline engine with --threads N workers (default 1).
 //   monitor — the longitudinal epoch driver: a 7-resolver watchlist over 30
 //     daily epochs with one scripted outage (bench_monitor's scenario).
 //   micro — engine micro-costs: uncontended SPSC ring throughput plus a
@@ -30,7 +30,7 @@
 // (steadier on loaded machines). --json (or --out) emits the summary as
 // JSON; --out also writes it to the given path.
 //
-// Exit codes: 0 ok, 1 bad usage, 3 I/O error.
+// Exit codes: 0 ok, 1 bad usage (including --threads below 1), 3 I/O error.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,8 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign.h"
-#include "util/json.h"
 #include "core/parallel_campaign.h"
 #include "lint/lint.h"
 #include "monitor/diagnose.h"
@@ -49,6 +47,7 @@
 #include "obs/runtime.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
+#include "util/json.h"
 #include "util/spsc_ring.h"
 #include "util/strings.h"
 
@@ -78,18 +77,18 @@ double elapsed_ms(WallClock::time_point start) {
 // the worker count after the engine's clamp to [1, #shards], so rows from
 // over-provisioned runs compare honestly. The perf gate refuses to compare
 // rows whose headers differ.
-core::Json make_header(const std::string& bench, std::uint64_t seed, int threads,
+util::Json make_header(const std::string& bench, std::uint64_t seed, int threads,
                        std::size_t shards, int rounds) {
-  core::JsonObject header;
-  header["bench"] = core::Json(bench);
-  header["schema_version"] = core::Json(3.0);
-  header["seed"] = core::Json(static_cast<double>(seed));
-  header["threads"] = core::Json(static_cast<double>(threads));
+  util::JsonObject header;
+  header["bench"] = util::Json(bench);
+  header["schema_version"] = util::Json(3.0);
+  header["seed"] = util::Json(static_cast<double>(seed));
+  header["threads"] = util::Json(static_cast<double>(threads));
   const std::size_t effective =
-      threads <= 0 ? 1 : std::min(static_cast<std::size_t>(threads), std::max<std::size_t>(shards, 1));
-  header["effective_threads"] = core::Json(static_cast<double>(effective));
-  header["rounds"] = core::Json(static_cast<double>(rounds));
-  return core::Json(std::move(header));
+      std::min(static_cast<std::size_t>(threads), std::max<std::size_t>(shards, 1));
+  header["effective_threads"] = util::Json(static_cast<double>(effective));
+  header["rounds"] = util::Json(static_cast<double>(rounds));
+  return util::Json(std::move(header));
 }
 
 }  // namespace
@@ -128,9 +127,14 @@ int main(int argc, char** argv) {
   if (const auto it = options.find("seed"); it != options.end()) {
     seed = std::strtoull(it->second.c_str(), nullptr, 10);
   }
-  int threads = 0;
+  int threads = 1;
   if (const auto it = options.find("threads"); it != options.end()) {
     threads = std::atoi(it->second.c_str());
+    if (threads < 1) {
+      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n",
+                   it->second.c_str());
+      return 1;
+    }
   }
   int repeat = 1;
   if (const auto it = options.find("repeat"); it != options.end()) {
@@ -141,7 +145,7 @@ int main(int argc, char** argv) {
   const bool profile = options.contains("profile");
 
   obs::WallProfiler profiler;
-  core::JsonObject o;
+  util::JsonObject o;
 
   if (suite == "fig2") {
     core::MeasurementSpec spec;
@@ -160,18 +164,11 @@ int main(int argc, char** argv) {
     // One timed campaign run; `with_trace` enables tracing for the overhead
     // comparison (the trace itself is discarded — only the cost matters).
     const auto timed_run = [&](bool with_trace, double& wall_ms) {
-      core::CampaignResult r;
+      core::CampaignObsOptions obs_options;
+      obs_options.trace = with_trace;
+      core::CampaignObsData obs_data;
       const auto start = WallClock::now();
-      if (threads <= 0) {
-        core::SimWorld world(seed);
-        if (with_trace) world.tracer().enable();
-        r = core::CampaignRunner(world, spec).run();
-      } else {
-        core::CampaignObsOptions obs_options;
-        obs_options.trace = with_trace;
-        core::CampaignObsData obs_data;
-        r = core::run_parallel_campaign(spec, threads, obs_options, &obs_data);
-      }
+      core::CampaignResult r = core::run_parallel_campaign(spec, threads, obs_options, &obs_data);
       wall_ms = elapsed_ms(start);
       return r;
     };
@@ -204,26 +201,25 @@ int main(int argc, char** argv) {
         best_wall_ms > 0.0 ? static_cast<double>(result.records.size()) / (best_wall_ms / 1000.0)
                            : 0.0;
 
-    o["bench"] = core::Json(std::string("paper_campaign"));
+    o["bench"] = util::Json(std::string("paper_campaign"));
     o["header"] = make_header("paper_campaign", seed, threads, vantages.size(), rounds);
-    o["engine"] = core::Json(std::string(threads > 0 ? "sharded" : "legacy"));
-    o["threads"] = core::Json(static_cast<double>(threads));
-    o["resolvers"] = core::Json(static_cast<double>(spec.resolvers.size()));
-    o["vantages"] = core::Json(static_cast<double>(vantages.size()));
-    o["rounds"] = core::Json(static_cast<double>(rounds));
-    o["seed"] = core::Json(static_cast<double>(seed));
-    o["repeat"] = core::Json(static_cast<double>(repeat));
-    o["records"] = core::Json(static_cast<double>(result.records.size()));
-    o["pings"] = core::Json(static_cast<double>(result.pings.size()));
-    o["error_rate"] = core::Json(result.availability.overall().error_rate());
-    o["wall_ms"] = core::Json(best_wall_ms);
-    o["records_per_sec"] = core::Json(records_per_sec);
+    o["threads"] = util::Json(static_cast<double>(threads));
+    o["resolvers"] = util::Json(static_cast<double>(spec.resolvers.size()));
+    o["vantages"] = util::Json(static_cast<double>(vantages.size()));
+    o["rounds"] = util::Json(static_cast<double>(rounds));
+    o["seed"] = util::Json(static_cast<double>(seed));
+    o["repeat"] = util::Json(static_cast<double>(repeat));
+    o["records"] = util::Json(static_cast<double>(result.records.size()));
+    o["pings"] = util::Json(static_cast<double>(result.pings.size()));
+    o["error_rate"] = util::Json(result.availability.overall().error_rate());
+    o["wall_ms"] = util::Json(best_wall_ms);
+    o["records_per_sec"] = util::Json(records_per_sec);
     if (trace_overhead) {
-      o["trace_on_wall_ms"] = core::Json(best_traced_wall_ms);
-      o["trace_overhead_pct"] = core::Json(
+      o["trace_on_wall_ms"] = util::Json(best_traced_wall_ms);
+      o["trace_overhead_pct"] = util::Json(
           best_wall_ms > 0.0 ? 100.0 * (best_traced_wall_ms - best_wall_ms) / best_wall_ms
                              : 0.0);
-      o["trace_identical"] = core::Json(trace_identical);
+      o["trace_identical"] = util::Json(trace_identical);
     }
 
     // Cold/warm medians of simulated response time, keyed off the per-record
@@ -234,10 +230,10 @@ int main(int argc, char** argv) {
       if (!r.ok) continue;
       (r.connection_reused ? warm_ms : cold_ms).push_back(r.response_ms);
     }
-    o["cold_queries"] = core::Json(static_cast<double>(cold_ms.size()));
-    o["warm_queries"] = core::Json(static_cast<double>(warm_ms.size()));
-    if (!cold_ms.empty()) o["cold_median_ms"] = core::Json(stats::median(std::move(cold_ms)));
-    if (!warm_ms.empty()) o["warm_median_ms"] = core::Json(stats::median(std::move(warm_ms)));
+    o["cold_queries"] = util::Json(static_cast<double>(cold_ms.size()));
+    o["warm_queries"] = util::Json(static_cast<double>(warm_ms.size()));
+    if (!cold_ms.empty()) o["cold_median_ms"] = util::Json(stats::median(std::move(cold_ms)));
+    if (!warm_ms.empty()) o["warm_median_ms"] = util::Json(stats::median(std::move(warm_ms)));
   } else if (suite == "monitor") {
     // bench_monitor's scenario: a watchlist across the four tiers, a month
     // of daily epochs, one scripted mid-span outage.
@@ -252,14 +248,13 @@ int main(int argc, char** argv) {
     spec.epochs = 30;
     spec.outages.push_back(monitor::OutageScript{"kronos.plan9-dns.com", 12, 15});
 
-    const int workers = threads <= 0 ? 1 : threads;
     double best_wall_ms = 0.0;
     monitor::MonitorResult mon;
     {
       const auto scope = profiler.scope("monitor");
       for (int run = 0; run < repeat; ++run) {
         const auto start = WallClock::now();
-        auto result = monitor::run_monitor(spec, workers);
+        auto result = monitor::run_monitor(spec, threads);
         const double wall_ms = elapsed_ms(start);
         if (!result) {
           std::fprintf(stderr, "monitor bench failed: %s\n", result.error().c_str());
@@ -279,7 +274,7 @@ int main(int argc, char** argv) {
       const auto scope = profiler.scope("diagnose");
       for (int run = 0; run < repeat; ++run) {
         const auto start = WallClock::now();
-        auto report = monitor::diagnose_events(mon, workers);
+        auto report = monitor::diagnose_events(mon, threads);
         const double wall_ms = elapsed_ms(start);
         if (!report) {
           std::fprintf(stderr, "diagnose bench failed: %s\n", report.error().c_str());
@@ -290,19 +285,19 @@ int main(int argc, char** argv) {
       }
     }
 
-    o["bench"] = core::Json(std::string("monitor"));
+    o["bench"] = util::Json(std::string("monitor"));
     o["header"] = make_header("monitor", seed, threads, spec.base.vantage_ids.size(), rounds);
-    o["resolvers"] = core::Json(static_cast<double>(spec.base.resolvers.size()));
-    o["epochs"] = core::Json(static_cast<double>(spec.epochs));
-    o["rounds"] = core::Json(static_cast<double>(rounds));
-    o["seed"] = core::Json(static_cast<double>(seed));
-    o["repeat"] = core::Json(static_cast<double>(repeat));
-    o["series_points"] = core::Json(static_cast<double>(mon.series.size()));
-    o["slo_samples"] = core::Json(static_cast<double>(mon.slos.size()));
-    o["events"] = core::Json(static_cast<double>(mon.events.size()));
-    o["diagnoses"] = core::Json(static_cast<double>(diagnoses));
-    o["wall_ms"] = core::Json(best_wall_ms);
-    o["diagnose_wall_ms"] = core::Json(best_diagnose_ms);
+    o["resolvers"] = util::Json(static_cast<double>(spec.base.resolvers.size()));
+    o["epochs"] = util::Json(static_cast<double>(spec.epochs));
+    o["rounds"] = util::Json(static_cast<double>(rounds));
+    o["seed"] = util::Json(static_cast<double>(seed));
+    o["repeat"] = util::Json(static_cast<double>(repeat));
+    o["series_points"] = util::Json(static_cast<double>(mon.series.size()));
+    o["slo_samples"] = util::Json(static_cast<double>(mon.slos.size()));
+    o["events"] = util::Json(static_cast<double>(mon.events.size()));
+    o["diagnoses"] = util::Json(static_cast<double>(diagnoses));
+    o["wall_ms"] = util::Json(best_wall_ms);
+    o["diagnose_wall_ms"] = util::Json(best_diagnose_ms);
   } else if (suite == "micro") {
     // Uncontended ring throughput: the per-item handoff cost the pipeline
     // pays, measured without thread scheduling noise.
@@ -369,7 +364,7 @@ int main(int argc, char** argv) {
       const auto scope = profiler.scope("campaign");
       for (int run = 0; run < repeat; ++run) {
         const auto start = WallClock::now();
-        result = core::run_parallel_campaign(spec, threads <= 0 ? 1 : threads);
+        result = core::run_parallel_campaign(spec, threads);
         const double wall_ms = elapsed_ms(start);
         if (run == 0 || wall_ms < campaign_wall_ms) campaign_wall_ms = wall_ms;
       }
@@ -402,37 +397,37 @@ int main(int argc, char** argv) {
       }
     }
 
-    o["bench"] = core::Json(std::string("micro"));
+    o["bench"] = util::Json(std::string("micro"));
     o["header"] = make_header("micro", seed, threads, spec.vantage_ids.size(), spec.rounds);
-    o["repeat"] = core::Json(static_cast<double>(repeat));
-    o["lint_files"] = core::Json(static_cast<double>(lint_files));
-    o["lint_wall_ms"] = core::Json(lint_wall_ms);
-    o["ring_ops"] = core::Json(static_cast<double>(kRingOps));
-    o["ring_checksum"] = core::Json(static_cast<double>(checksum));
-    o["ring_ops_per_sec"] = core::Json(
+    o["repeat"] = util::Json(static_cast<double>(repeat));
+    o["lint_files"] = util::Json(static_cast<double>(lint_files));
+    o["lint_wall_ms"] = util::Json(lint_wall_ms);
+    o["ring_ops"] = util::Json(static_cast<double>(kRingOps));
+    o["ring_checksum"] = util::Json(static_cast<double>(checksum));
+    o["ring_ops_per_sec"] = util::Json(
         ring_wall_ms > 0.0 ? static_cast<double>(kRingOps) / (ring_wall_ms / 1000.0) : 0.0);
     // Wall-clock telemetry lane: outside the perf gate's deterministic field
     // set (like lint_wall_ms), tracked for trend only.
-    o["ring_telemetry_ops_per_sec"] = core::Json(
+    o["ring_telemetry_ops_per_sec"] = util::Json(
         ring_telemetry_wall_ms > 0.0
             ? static_cast<double>(kRingOps) / (ring_telemetry_wall_ms / 1000.0)
             : 0.0);
-    o["telemetry_overhead_pct"] = core::Json(
+    o["telemetry_overhead_pct"] = util::Json(
         ring_wall_ms > 0.0
             ? (ring_telemetry_wall_ms - ring_wall_ms) / ring_wall_ms * 100.0
             : 0.0);
     o["telemetry_checksum_identical"] =
-        core::Json(telemetry_checksum == checksum && telemetry_pushes == kRingOps);
-    o["records"] = core::Json(static_cast<double>(result.records.size()));
-    o["pings"] = core::Json(static_cast<double>(result.pings.size()));
-    o["error_rate"] = core::Json(result.availability.overall().error_rate());
-    o["wall_ms"] = core::Json(campaign_wall_ms);
+        util::Json(telemetry_checksum == checksum && telemetry_pushes == kRingOps);
+    o["records"] = util::Json(static_cast<double>(result.records.size()));
+    o["pings"] = util::Json(static_cast<double>(result.pings.size()));
+    o["error_rate"] = util::Json(result.availability.overall().error_rate());
+    o["wall_ms"] = util::Json(campaign_wall_ms);
   } else {
     std::fprintf(stderr, "error: unknown suite \"%s\" (fig2, monitor, micro)\n", suite.c_str());
     return 1;
   }
 
-  const core::Json summary(std::move(o));
+  const util::Json summary(std::move(o));
 
   if (const auto it = options.find("out"); it != options.end()) {
     std::ofstream out(it->second);

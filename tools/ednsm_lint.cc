@@ -1,21 +1,19 @@
 // ednsm_lint CLI: run the project-invariant static analyzer over source
 // roots (default: src tools bench, resolved against the current directory)
-// and exit nonzero when any unsuppressed, non-baselined violation remains.
+// and exit nonzero when any unsuppressed violation remains. An inline
+// `// ednsm-lint: allow(rule) — reason` comment is the one way to accept a
+// finding.
 //
 //   ednsm_lint                          # lint src/, tools/, bench/ under $PWD
 //   ednsm_lint path/to/src ...          # explicit roots (files or directories)
 //   ednsm_lint --list-rules             # print the rule table and exit
 //   ednsm_lint --layers FILE            # module DAG config (default:
 //                                       #   tools/lint/layers.conf if present)
-//   ednsm_lint --baseline FILE          # subtract accepted findings (default:
-//                                       #   tools/lint/baseline.json if present)
-//   ednsm_lint --no-layers|--no-baseline  # disable the defaults
+//   ednsm_lint --no-layers              # disable the default layers config
 //   ednsm_lint --json                   # machine-readable report on stdout
 //   ednsm_lint --json-out FILE          # write the JSON report to FILE too
-//   ednsm_lint --write-baseline FILE    # emit current findings as a baseline
-//                                       #   skeleton (reasons stubbed) and exit
 //
-// Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage/config.
+// Exit codes: 0 clean, 1 findings, 2 usage/config.
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -24,16 +22,13 @@
 #include <string>
 #include <vector>
 
-#include "lint/baseline.h"
 #include "lint/lint.h"
 
 namespace {
 
 int usage() {
   std::cerr << "usage: ednsm_lint [--list-rules] [--json] [--json-out FILE]\n"
-               "                  [--layers FILE | --no-layers]\n"
-               "                  [--baseline FILE | --no-baseline]\n"
-               "                  [--write-baseline FILE] [root...]\n"
+               "                  [--layers FILE | --no-layers] [root...]\n"
                "Roots may be directories (scanned recursively for .h/.hpp/.cc/.cpp)\n"
                "or single files; default roots are src, tools, and bench.\n";
   return 2;
@@ -53,12 +48,9 @@ bool read_file(const std::string& path, std::string* out) {
 int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::string layers_path;
-  std::string baseline_path;
   std::string json_out_path;
-  std::string write_baseline_path;
   bool json_stdout = false;
   bool no_layers = false;
-  bool no_baseline = false;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -85,18 +77,11 @@ int main(int argc, char** argv) {
       no_layers = true;
       continue;
     }
-    if (arg == "--no-baseline") {
-      no_baseline = true;
-      continue;
-    }
-    if (arg == "--layers" || arg == "--baseline" || arg == "--json-out" ||
-        arg == "--write-baseline") {
+    if (arg == "--layers" || arg == "--json-out") {
       const char* value = need_value(i);
       if (value == nullptr) return usage();
       if (arg == "--layers") layers_path = value;
-      if (arg == "--baseline") baseline_path = value;
       if (arg == "--json-out") json_out_path = value;
-      if (arg == "--write-baseline") write_baseline_path = value;
       continue;
     }
     if (arg[0] == '-') {
@@ -106,14 +91,10 @@ int main(int argc, char** argv) {
     roots.emplace_back(arg);
   }
   if (roots.empty()) roots = {"src", "tools", "bench"};
-  // Committed defaults, picked up when running from the repo root.
+  // Committed default, picked up when running from the repo root.
   if (layers_path.empty() && !no_layers &&
       std::filesystem::is_regular_file("tools/lint/layers.conf")) {
     layers_path = "tools/lint/layers.conf";
-  }
-  if (baseline_path.empty() && !no_baseline &&
-      std::filesystem::is_regular_file("tools/lint/baseline.json")) {
-    baseline_path = "tools/lint/baseline.json";
   }
 
   std::vector<ednsm::lint::SourceFile> files;
@@ -145,41 +126,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<ednsm::lint::Diagnostic> diags = ednsm::lint::run_lint(files, options);
-
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    out << ednsm::lint::baseline_to_json(diags);
-    if (!out) {
-      std::cerr << "ednsm_lint: cannot write " << write_baseline_path << "\n";
-      return 2;
-    }
-    std::cout << "ednsm_lint: wrote " << diags.size() << " finding"
-              << (diags.size() == 1 ? "" : "s") << " to " << write_baseline_path
-              << " (fill in the reasons before committing)\n";
-    return 0;
-  }
-
-  std::vector<ednsm::lint::BaselineEntry> stale;
-  std::size_t baselined = 0;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, &text)) {
-      std::cerr << "ednsm_lint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::vector<ednsm::lint::BaselineEntry> entries;
-    std::string error;
-    if (!ednsm::lint::parse_baseline(text, &entries, &error)) {
-      std::cerr << "ednsm_lint: " << baseline_path << ": " << error << "\n";
-      return 2;
-    }
-    ednsm::lint::BaselineResult result =
-        ednsm::lint::apply_baseline(std::move(diags), entries);
-    diags = std::move(result.remaining);
-    stale = std::move(result.stale);
-    baselined = result.suppressed;
-  }
+  const std::vector<ednsm::lint::Diagnostic> diags = ednsm::lint::run_lint(files, options);
 
   const std::string report = ednsm::lint::format_json(diags);
   if (!json_out_path.empty()) {
@@ -197,25 +144,13 @@ int main(int argc, char** argv) {
       std::cout << ednsm::lint::format(d) << "\n";
     }
   }
-  for (const ednsm::lint::BaselineEntry& e : stale) {
-    std::cerr << "ednsm_lint: stale baseline entry (matches no finding): rule=" << e.rule
-              << " path=" << e.path << (e.key.empty() ? "" : " key=" + e.key)
-              << " — remove it from " << baseline_path << "\n";
-  }
-  if (!diags.empty() || !stale.empty()) {
+  if (!diags.empty()) {
     if (!json_stdout) {
       std::cout << "ednsm_lint: " << diags.size() << " violation"
-                << (diags.size() == 1 ? "" : "s") << " in " << files.size() << " files";
-      if (baselined > 0) std::cout << " (" << baselined << " baselined)";
-      if (!stale.empty()) std::cout << ", " << stale.size() << " stale baseline entries";
-      std::cout << "\n";
+                << (diags.size() == 1 ? "" : "s") << " in " << files.size() << " files\n";
     }
     return 1;
   }
-  if (!json_stdout) {
-    std::cout << "ednsm_lint: clean (" << files.size() << " files";
-    if (baselined > 0) std::cout << ", " << baselined << " baselined findings";
-    std::cout << ")\n";
-  }
+  if (!json_stdout) std::cout << "ednsm_lint: clean (" << files.size() << " files)\n";
   return 0;
 }

@@ -112,12 +112,12 @@ Result<monitor::OutageScript> parse_outage(const std::string& text) {
   return script;
 }
 
-Result<core::Json> load_json(const std::string& path) {
+Result<util::Json> load_json(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Err{std::string("cannot open ") + path};
   std::stringstream buffer;
   buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = util::Json::parse(buffer.str());
   if (!json) return Err{path + " is not valid JSON: " + json.error()};
   return json;
 }
@@ -242,10 +242,10 @@ int cmd_run(const Args& args) {
               static_cast<std::streamsize>(blob.size()));
   }
   if (const std::string* p = args.get("slo-out")) {
-    core::JsonArray arr;
+    util::JsonArray arr;
     arr.reserve(mon.slos.size());
     for (const monitor::SloSample& s : mon.slos) arr.push_back(s.to_json());
-    if (!write_file(*p, core::Json(std::move(arr)).dump(2) + "\n")) return 3;
+    if (!write_file(*p, util::Json(std::move(arr)).dump(2) + "\n")) return 3;
   }
   if (const std::string* p = args.get("events-out")) {
     if (!write_file(*p, monitor::events_to_json(mon.events).dump(2) + "\n")) return 3;
@@ -265,10 +265,10 @@ int cmd_slo(const Args& args) {
     return 3;
   }
   if (args.json) {
-    core::JsonArray arr;
+    util::JsonArray arr;
     arr.reserve(result.value().slos.size());
     for (const monitor::SloSample& s : result.value().slos) arr.push_back(s.to_json());
-    std::printf("%s\n", core::Json(std::move(arr)).dump(2).c_str());
+    std::printf("%s\n", util::Json(std::move(arr)).dump(2).c_str());
     return 0;
   }
   std::printf("%-12s %-28s %5s %9s %9s %8s %8s %8s  %s\n", "vantage", "resolver", "epoch",

@@ -41,10 +41,10 @@ constexpr const char* kSimFields[] = {
     "cold_median_ms", "warm_median_ms", "resolvers", "vantages", "epochs",
 };
 
-Result<core::Json> load_json(const std::string& path) {
+Result<util::Json> load_json(const std::string& path) {
   auto text = util::read_file(path);
   if (!text) return Err{text.error()};
-  auto j = core::Json::parse(text.value());
+  auto j = util::Json::parse(text.value());
   if (!j) return Err{path + ": " + j.error()};
   return j;
 }
@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const core::Json& lh = ledger.value().at("header");
-  const core::Json& ch = current.value().at("header");
+  const util::Json& lh = ledger.value().at("header");
+  const util::Json& ch = current.value().at("header");
   if (!lh.is_object() || !ch.is_object()) {
     std::fprintf(stderr, "error: both files need a \"header\" attribution object\n");
     return 2;
@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
 
   bool drifted = false;
   for (const char* field : kSimFields) {
-    const core::Json& lv = ledger.value().at(field);
+    const util::Json& lv = ledger.value().at(field);
     if (lv.is_null()) continue;  // ledger row doesn't carry this field
-    const core::Json& cv = current.value().at(field);
+    const util::Json& cv = current.value().at(field);
     if (!(lv == cv)) {
       std::fprintf(stderr, "DRIFT %s: ledger %s, current %s (deterministic field)\n", field,
                    lv.dump(0).c_str(), cv.dump(0).c_str());

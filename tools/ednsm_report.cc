@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = util::Json::parse(buffer.str());
   if (!json) {
     std::fprintf(stderr, "error: %s\n", json.error().c_str());
     return 3;
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       }
       std::stringstream diag_buffer;
       diag_buffer << diag_in.rdbuf();
-      auto diag_json = core::Json::parse(diag_buffer.str());
+      auto diag_json = util::Json::parse(diag_buffer.str());
       if (!diag_json) {
         std::fprintf(stderr, "error: %s\n", diag_json.error().c_str());
         return 3;

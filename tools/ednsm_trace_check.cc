@@ -58,7 +58,7 @@ bool fail(std::size_t index, const char* what) {
   return false;
 }
 
-bool check_event(const core::Json& e, std::size_t index) {
+bool check_event(const util::Json& e, std::size_t index) {
   if (!e.is_object()) return fail(index, "not an object");
   if (!e.at("ph").is_string()) return fail(index, "missing phase \"ph\"");
   if (!e.at("name").is_string()) return fail(index, "missing \"name\"");
@@ -86,7 +86,7 @@ bool check_event(const core::Json& e, std::size_t index) {
 // Sweep each thread's spans in start order (longest first on ties, so a
 // parent precedes the children sharing its start) with a stack of open span
 // end times; a span that starts inside an open span must close no later.
-bool check_nesting(const core::JsonArray& events) {
+bool check_nesting(const util::JsonArray& events) {
   struct Span {
     double ts = 0;
     double dur = 0;
@@ -94,7 +94,7 @@ bool check_nesting(const core::JsonArray& events) {
   };
   std::map<std::pair<double, double>, std::vector<Span>> threads;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const core::Json& e = events[i];
+    const util::Json& e = events[i];
     if (e.at("ph").as_string() != "X") continue;
     threads[{e.at("pid").as_number(), e.at("tid").as_number()}].push_back(
         {e.at("ts").as_number(), e.at("dur").as_number(), i});
@@ -127,12 +127,12 @@ int check_heartbeat_file(const char* path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = util::Json::parse(buffer.str());
   if (!json) {
     std::fprintf(stderr, "trace-check: not valid JSON: %s\n", json.error().c_str());
     return 2;
   }
-  const core::Json& root = json.value();
+  const util::Json& root = json.value();
   if (!root.is_object() || !root.at("schema").is_string()) {
     std::fprintf(stderr, "trace-check: missing \"schema\" field\n");
     return 2;
@@ -199,18 +199,18 @@ int main(int argc, char** argv) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  auto json = core::Json::parse(buffer.str());
+  auto json = util::Json::parse(buffer.str());
   if (!json) {
     std::fprintf(stderr, "trace-check: not valid JSON: %s\n", json.error().c_str());
     return 2;
   }
-  const core::Json& root = json.value();
+  const util::Json& root = json.value();
   if (!root.is_object() || !root.at("traceEvents").is_array()) {
     std::fprintf(stderr, "trace-check: missing traceEvents array\n");
     return 2;
   }
 
-  const core::JsonArray& events = root.at("traceEvents").as_array();
+  const util::JsonArray& events = root.at("traceEvents").as_array();
   std::size_t metadata = 0;
   std::size_t payload = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
 
   if (nested && !check_nesting(events)) return 2;
 
-  const core::Json& dropped = root.at("otherData").at("dropped_events");
+  const util::Json& dropped = root.at("otherData").at("dropped_events");
   if (!dropped.is_null() && (!dropped.is_number() || dropped.as_number() < 0)) {
     std::fprintf(stderr, "trace-check: otherData.dropped_events is not a non-negative number\n");
     return 2;

@@ -19,7 +19,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Rule IDs. These are the stable, user-facing names used in diagnostics and
-// in `// ednsm-lint: allow(...)` suppressions and baseline entries.
+// in `// ednsm-lint: allow(...)` suppressions.
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kUnorderedIter = "determinism-unordered-iter";

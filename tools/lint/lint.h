@@ -19,9 +19,8 @@
 // Suppression: a comment `// ednsm-lint: allow(rule-id)` (or
 // `allow(rule-a, rule-b)`) on the violating line or the line directly above
 // silences the named rules for that line. Suppressions are expected to carry
-// a rationale in the rest of the comment. Accepted legacy findings can also
-// be carried in a committed baseline (tools/lint/baseline.json); see
-// tools/lint/baseline.h.
+// a rationale in the rest of the comment. This is the one way to accept a
+// finding.
 #pragma once
 
 #include <string>
@@ -38,9 +37,9 @@ struct Diagnostic {
   int line = 0;
   std::string rule;
   std::string message;
-  // Stable, line-number-independent identity for baseline matching. Layering
-  // findings use "from->to"; taint findings use "source_fn->sink_fn"; other
-  // rules leave it empty (they baseline by rule+path alone).
+  // Stable, line-number-independent identity of the finding (reported in the
+  // JSON output). Layering findings use "from->to"; taint findings use
+  // "source_fn->sink_fn"; other rules leave it empty.
   std::string key;
   // For determinism-taint: the source-to-sink call path (qualified function
   // names, source first). Empty for other rules.
