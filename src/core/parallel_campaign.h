@@ -1,4 +1,4 @@
-// Staged-pipeline campaign engine.
+// Sharded campaign engine.
 //
 // A multi-vantage campaign decomposes into independent shards — one SimWorld
 // per vantage, seeded deterministically from the spec seed via splitmix64
@@ -8,17 +8,11 @@
 // any `threads` value, including 1, and for any `--shard k/N` process split
 // merged by ednsm_merge.
 //
-// Execution is a ZDNS-style staged pipeline connected by SPSC rings
-// (util/spsc_ring.h):
-//
-//   expansion ──rings──▶ simulation workers ──rings──▶ collector/encoder
-//
-// The expansion stage streams ShardPlans into per-worker task rings (striped
-// round-robin, so each ring keeps a single producer and single consumer);
-// workers simulate and push ShardOutcomes into their own outcome ring; the
-// calling thread drains outcome rings as results complete, doing the
-// per-shard encode work (round bucketing) concurrently with shards still
-// simulating, and finally assembles the canonical merge (the sink stage).
+// Execution is one pool of plan-claiming workers: an atomic counter hands
+// out the next plan index, each worker simulates its plan and hands the
+// ShardOutcome straight to the sink. The calling thread is one of the
+// workers, so a one-worker run (the monitor's epochs, `--threads 1`) spawns
+// no thread at all.
 //
 // This is the only campaign engine: the CLI, the monitor, diagnosis, the
 // benches and the shard/merge path all run it. Each vantage is measured as
@@ -32,13 +26,16 @@
 
 namespace ednsm::core {
 
-// Run `plans` through the expansion → simulation stages with up to `threads`
-// workers (clamped to [1, #plans]), invoking `sink` on the calling thread
-// once per completed plan, in completion order. This is the engine under
-// run_parallel_campaign (sink = ShardCollector) and under `--shard` workers
-// (sink = shard-file accumulation). Worker exceptions are rethrown on the
-// caller after all stages drain; the sink may then have seen only a subset
-// of outcomes.
+// Run `plans` on up to `threads` workers (clamped to [1, #plans]): the
+// calling thread plus `workers - 1` helper threads, each claiming the next
+// unclaimed plan. `sink` is invoked once per completed plan, in completion
+// order, on whichever worker finished it; calls never overlap (one mutex
+// serialises them), so the sink needs no locking of its own. This is the
+// engine under run_parallel_campaign (sink = ShardCollector) and under
+// `--shard` workers (sink = shard-file accumulation). The first exception,
+// from a worker or from the sink, stops further claims and is rethrown on
+// the caller after every helper has joined; the sink may then have seen
+// only a subset of outcomes.
 void run_pipeline(const MeasurementSpec& spec, const std::vector<ShardPlan>& plans, int threads,
                   const CampaignObsOptions& obs_options,
                   const std::function<void(ShardOutcome&&)>& sink);

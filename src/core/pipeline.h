@@ -1,15 +1,16 @@
-// Staged-pipeline building blocks for the campaign engine (ZDNS-style
-// generator → worker → encoder decomposition).
+// Building blocks for the sharded campaign engine (plan → simulate →
+// collect).
 //
 // A campaign is decomposed into a deterministic plan list (expand_spec): one
 // ShardPlan per vantage, carrying its splitmix64-derived seed and its global
-// index. Plans are the unit of work everywhere — the in-process engine feeds
-// them through SPSC rings to simulation workers (see parallel_campaign.cc),
+// index. Plans are the unit of work everywhere — the in-process engine's workers
+// claim them one at a time (see parallel_campaign.cc),
 // and `--shard k/N` slices the *same* list across processes (slice_plans), so
 // a multi-process run simulates exactly the shards a single process would.
 //
-// ShardCollector is the single merge implementation: the in-process pipeline
-// sinks outcomes into it incrementally (encode overlaps simulation), and
+// ShardCollector is the single merge implementation: the in-process engine
+// sinks outcomes into it as shards finish (encode overlaps simulation still
+// in flight on other workers), and
 // ednsm_merge feeds it shard-file outcomes. Both paths therefore produce the
 // canonical (round-major, vantage-in-spec-order) result byte-for-byte,
 // extending the "byte-identical for any --threads" guarantee to any
@@ -35,14 +36,10 @@ struct CampaignObsOptions {
   bool metrics = false;  // collect sim + result counters/distributions
   // Wall-clock runtime telemetry hub (progress heartbeats, run manifests);
   // nullptr = off. Unlike trace/metrics this lives in the *other* clock
-  // domain — it observes the pipeline machinery, never the simulation — so
+  // domain — it observes the engine machinery, never the simulation — so
   // enabling it cannot change any deterministic output (see DESIGN.md
   // "Runtime telemetry and clock domains").
   obs::RuntimeTelemetry* runtime = nullptr;
-  // Periodic progress-file writer, pumped from the collector stage (the
-  // pipeline owns the only thread that sees steady forward progress, so the
-  // tool cannot pump it itself). Rate-limited internally; nullptr = off.
-  obs::HeartbeatWriter* heartbeat = nullptr;
 };
 
 // Where the observations land. Shard traces are appended in spec vantage
@@ -107,8 +104,8 @@ struct SliceBounds {
 [[nodiscard]] std::uint64_t spec_fingerprint(const MeasurementSpec& spec);
 
 // One completed plan: the single-vantage result plus (optionally) that
-// world's drained trace and collected sim metrics. This is what flows
-// through the pipeline's outcome rings and what shard files persist.
+// world's drained trace and collected sim metrics. This is what workers hand
+// to the sink and what shard files persist.
 struct ShardOutcome {
   std::size_t index = 0;
   std::string vantage;

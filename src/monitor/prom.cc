@@ -194,10 +194,7 @@ std::string to_prometheus(const std::vector<obs::RuntimeHeartbeat>& fleet,
   const std::pair<const char*, std::uint64_t obs::RuntimeStageSnapshot::*> stage_fields[] = {
       {"runtime_stage_items_in", &obs::RuntimeStageSnapshot::items_in},
       {"runtime_stage_items_out", &obs::RuntimeStageSnapshot::items_out},
-      {"runtime_stage_stall_spins", &obs::RuntimeStageSnapshot::stall_spins},
-      {"runtime_stage_stall_ns", &obs::RuntimeStageSnapshot::stall_ns},
       {"runtime_stage_busy_ns", &obs::RuntimeStageSnapshot::busy_ns},
-      {"runtime_stage_max_queue_depth", &obs::RuntimeStageSnapshot::max_queue_depth},
   };
   for (const auto& [raw_name, field] : stage_fields) {
     const std::string name = sanitize(raw_name);

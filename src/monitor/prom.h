@@ -19,7 +19,7 @@ namespace ednsm::monitor {
 [[nodiscard]] std::string to_prometheus(const obs::TimeSeries& series);
 
 // Runtime-telemetry exposition: per-shard progress/throughput gauges and
-// per-stage pipeline counters from a fleet of heartbeat snapshots (one per
+// per-stage engine counters from a fleet of heartbeat snapshots (one per
 // `--progress-file`; `ednsm_watch --prom` serves this). Labels: shard="k/n"
 // plus stage=... on the per-stage series. This is the sanctioned wall-clock
 // -> exporter path; the obs-domain-separation lint rule allows to_prometheus

@@ -66,24 +66,6 @@ Result<void> expect_schema(const util::Json& j, std::string_view name, int versi
   return Result<void>{};
 }
 
-std::uint64_t relaxed_sum(const std::deque<util::RingStatSink>& sinks,
-                          std::atomic<std::uint64_t> util::RingStatSink::* member) {
-  std::uint64_t total = 0;
-  for (const util::RingStatSink& s : sinks) {
-    total += (s.*member).load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t relaxed_max(const std::deque<util::RingStatSink>& sinks,
-                          std::atomic<std::uint64_t> util::RingStatSink::* member) {
-  std::uint64_t best = 0;
-  for (const util::RingStatSink& s : sinks) {
-    best = std::max(best, (s.*member).load(std::memory_order_relaxed));
-  }
-  return best;
-}
-
 }  // namespace
 
 std::uint64_t runtime_now_ns() {
@@ -109,10 +91,7 @@ util::Json RuntimeStageSnapshot::stage_json() const {
   o["stage"] = util::Json(stage);
   o["items_in"] = util::Json(static_cast<double>(items_in));
   o["items_out"] = util::Json(static_cast<double>(items_out));
-  o["stall_spins"] = util::Json(static_cast<double>(stall_spins));
-  o["stall_ns"] = util::Json(static_cast<double>(stall_ns));
   o["busy_ns"] = util::Json(static_cast<double>(busy_ns));
-  o["max_queue_depth"] = util::Json(static_cast<double>(max_queue_depth));
   return util::Json(std::move(o));
 }
 
@@ -125,19 +104,13 @@ Result<RuntimeStageSnapshot> RuntimeStageSnapshot::stage_from_json(const util::J
   s.stage = j.at("stage").as_string();
   auto items_in = u64_field(j, "items_in");
   auto items_out = u64_field(j, "items_out");
-  auto stall_spins = u64_field(j, "stall_spins");
-  auto stall_ns = u64_field(j, "stall_ns");
   auto busy_ns = u64_field(j, "busy_ns");
-  auto max_depth = u64_field(j, "max_queue_depth");
-  for (const auto* r : {&items_in, &items_out, &stall_spins, &stall_ns, &busy_ns, &max_depth}) {
+  for (const auto* r : {&items_in, &items_out, &busy_ns}) {
     if (!*r) return Err{"stage \"" + s.stage + "\": " + r->error()};
   }
   s.items_in = items_in.value();
   s.items_out = items_out.value();
-  s.stall_spins = stall_spins.value();
-  s.stall_ns = stall_ns.value();
   s.busy_ns = busy_ns.value();
-  s.max_queue_depth = max_depth.value();
   return s;
 }
 
@@ -474,21 +447,6 @@ void RuntimeTelemetry::begin_run(std::uint64_t plans_total) {
   started_ns_ = now_ns_();
 }
 
-void RuntimeTelemetry::configure_workers(std::size_t workers) {
-  while (task_sinks_.size() < workers) {
-    task_sinks_.emplace_back().now_ns = now_ns_;
-    outcome_sinks_.emplace_back().now_ns = now_ns_;
-  }
-}
-
-util::RingStatSink* RuntimeTelemetry::task_ring_stats(std::size_t worker) {
-  return worker < task_sinks_.size() ? &task_sinks_[worker] : nullptr;
-}
-
-util::RingStatSink* RuntimeTelemetry::outcome_ring_stats(std::size_t worker) {
-  return worker < outcome_sinks_.size() ? &outcome_sinks_[worker] : nullptr;
-}
-
 void RuntimeTelemetry::note_plan_done(std::uint64_t busy_ns) {
   plans_done_.fetch_add(1, std::memory_order_relaxed);
   worker_busy_ns_.fetch_add(busy_ns, std::memory_order_relaxed);
@@ -497,10 +455,6 @@ void RuntimeTelemetry::note_plan_done(std::uint64_t busy_ns) {
 void RuntimeTelemetry::note_sink_items(std::uint64_t items, std::uint64_t busy_ns) {
   sink_items_.fetch_add(items, std::memory_order_relaxed);
   collector_busy_ns_.fetch_add(busy_ns, std::memory_order_relaxed);
-}
-
-void RuntimeTelemetry::note_collector_idle_spin() {
-  collector_idle_spins_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RuntimeTelemetry::note_records(std::uint64_t n) {
@@ -542,31 +496,21 @@ RuntimeHeartbeat RuntimeTelemetry::snapshot_runtime(std::string status) const {
                  ? h.elapsed_ms * (1.0 - h.completion) / h.completion
                  : 0.0;
 
-  RuntimeStageSnapshot expand;
-  expand.stage = "expand";
-  expand.items_in = plans_total_;
-  expand.items_out = relaxed_sum(task_sinks_, &util::RingStatSink::pushes);
-  expand.stall_spins = relaxed_sum(task_sinks_, &util::RingStatSink::push_stall_spins);
-  expand.stall_ns = relaxed_sum(task_sinks_, &util::RingStatSink::push_stall_ns);
-  expand.max_queue_depth = relaxed_max(task_sinks_, &util::RingStatSink::max_occupancy);
-
+  // Every plan is available to the workers from the start; each simulated
+  // plan then enters the collect stage.
   RuntimeStageSnapshot simulate;
   simulate.stage = "simulate";
-  simulate.items_in = relaxed_sum(task_sinks_, &util::RingStatSink::pops);
+  simulate.items_in = plans_total_;
   simulate.items_out = h.plans_done;
   simulate.busy_ns = worker_busy_ns_.load(std::memory_order_relaxed);
-  simulate.stall_spins = relaxed_sum(outcome_sinks_, &util::RingStatSink::push_stall_spins);
-  simulate.stall_ns = relaxed_sum(outcome_sinks_, &util::RingStatSink::push_stall_ns);
-  simulate.max_queue_depth = relaxed_max(outcome_sinks_, &util::RingStatSink::max_occupancy);
 
   RuntimeStageSnapshot collect;
   collect.stage = "collect";
-  collect.items_in = relaxed_sum(outcome_sinks_, &util::RingStatSink::pops);
+  collect.items_in = h.plans_done;
   collect.items_out = sunk;
   collect.busy_ns = collector_busy_ns_.load(std::memory_order_relaxed);
-  collect.stall_spins = collector_idle_spins_.load(std::memory_order_relaxed);
 
-  h.stages = {std::move(expand), std::move(simulate), std::move(collect)};
+  h.stages = {std::move(simulate), std::move(collect)};
   return h;
 }
 
@@ -576,23 +520,29 @@ RuntimeHeartbeat RuntimeTelemetry::snapshot_runtime(std::string status) const {
 
 HeartbeatWriter::HeartbeatWriter(std::string path, const RuntimeTelemetry& telemetry,
                                  std::uint64_t interval_ms)
-    : path_(std::move(path)), telemetry_(telemetry), interval_ns_(interval_ms * 1000000ull) {}
+    : path_(std::move(path)),
+      telemetry_(telemetry),
+      interval_(interval_ms),
+      ticker_([this](const std::stop_token& stop) { tick(stop); }) {}
 
-Result<void> HeartbeatWriter::emit_heartbeat(std::string status) {
+void HeartbeatWriter::tick(const std::stop_token& stop) {
+  // Telemetry must never fail the measurement: a transient heartbeat I/O
+  // error is dropped, the next tick retries.
+  (void)emit_heartbeat("starting");
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!wake_.wait_for(lock, stop, interval_, [&stop] { return stop.stop_requested(); })) {
+    (void)emit_heartbeat("running");
+  }
+}
+
+Result<void> HeartbeatWriter::emit_heartbeat(std::string status) const {
   const RuntimeHeartbeat h = telemetry_.snapshot_runtime(std::move(status));
-  last_write_ns_ = telemetry_.clock_now_ns();
   return util::write_file_atomic(path_, h.heartbeat_json().dump(2) + "\n");
 }
 
-void HeartbeatWriter::write_update() {
-  const std::uint64_t now = telemetry_.clock_now_ns();
-  if (last_write_ns_ != 0 && now - last_write_ns_ < interval_ns_) return;
-  // Telemetry must never fail the measurement: a transient heartbeat I/O
-  // error is dropped, the next interval retries.
-  (void)emit_heartbeat(last_write_ns_ == 0 ? "starting" : "running");
-}
-
 Result<void> HeartbeatWriter::write_final(std::string_view status) {
+  ticker_.request_stop();
+  if (ticker_.joinable()) ticker_.join();
   return emit_heartbeat(std::string(status));
 }
 

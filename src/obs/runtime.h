@@ -1,5 +1,5 @@
 // Wall-clock runtime telemetry for the measurement system itself: per-stage
-// pipeline counters, live progress heartbeats, and end-of-run manifests for
+// engine counters, live progress heartbeats, and end-of-run manifests for
 // sharded campaigns (ZDNS-style scan status reporting; see DESIGN.md
 // "Runtime telemetry and clock domains").
 //
@@ -14,23 +14,29 @@
 // artifacts (heartbeat files, run manifests) are separate files with their
 // own schemas, validated by `ednsm_trace_check --heartbeat`.
 //
-// Collection follows the obs::Tracer zero-overhead pattern: the pipeline
+// Collection follows the obs::Tracer zero-overhead pattern: the engine
 // holds a nullable RuntimeTelemetry pointer, every hook is a null check plus
-// relaxed atomics, and a run without --progress-file pays nothing but the
-// null checks (measured by BM_RuntimeTelemetryOverhead in the micro bench).
+// relaxed atomics, and a run without --progress-file or --manifest pays
+// nothing but the null checks. Per plan the engine reports two stages:
+// `simulate` (plans done, worker busy time) and `collect` (outcomes sunk,
+// sink busy time). Heartbeat files are written by HeartbeatWriter's own
+// ticker thread, so liveness never depends on a shard completing.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <mutex>
+#include <stop_token>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/json.h"
 #include "util/result.h"
-#include "util/ring_stats.h"
 
 namespace ednsm::obs {
 
@@ -46,13 +52,10 @@ namespace ednsm::obs {
 // names are the deterministic codec surface; these artifacts live in the
 // wall-clock domain and get their own verbs.)
 struct RuntimeStageSnapshot {
-  std::string stage;                   // "expand" | "simulate" | "collect"
+  std::string stage;                   // "simulate" | "collect"
   std::uint64_t items_in = 0;          // items entering the stage
   std::uint64_t items_out = 0;         // items the stage completed
-  std::uint64_t stall_spins = 0;       // yield spins while blocked
-  std::uint64_t stall_ns = 0;          // wall ns spent blocked
   std::uint64_t busy_ns = 0;           // wall ns spent doing stage work
-  std::uint64_t max_queue_depth = 0;   // high-water ring occupancy
 
   [[nodiscard]] util::Json stage_json() const;
   [[nodiscard]] static Result<RuntimeStageSnapshot> stage_from_json(const util::Json& j);
@@ -62,7 +65,7 @@ struct RuntimeStageSnapshot {
 // the --progress-file path so an orchestrator can poll it without ever
 // seeing a torn write. Also the parsed form ednsm_watch renders.
 struct RuntimeHeartbeat {
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
   static constexpr std::string_view kSchemaName = "ednsm-heartbeat";
 
   std::string status;                  // "starting" | "running" | "done" | "failed"
@@ -92,7 +95,7 @@ struct RuntimeHeartbeat {
 // and the merge cross-check consume. One per `ednsm_measure` process;
 // ednsm_merge folds the shard set's manifests into a campaign manifest.
 struct RunManifest {
-  static constexpr int kSchemaVersion = 1;
+  static constexpr int kSchemaVersion = 2;
   static constexpr std::string_view kSchemaName = "ednsm-run-manifest";
 
   std::uint64_t spec_fingerprint = 0;
@@ -128,9 +131,9 @@ struct RunManifest {
 [[nodiscard]] std::string shard_stats_table(const std::vector<RunManifest>& manifests);
 
 // The collection hub. One instance per measurement process, owned by the
-// tool; the pipeline and rings hold plain pointers (nullptr = telemetry off,
-// the obs::Tracer pattern). All counters are relaxed atomics — any thread
-// may bump them, any thread may snapshot.
+// tool; the engine holds a plain pointer (nullptr = telemetry off, the
+// obs::Tracer pattern). All counters are relaxed atomics — any thread may
+// bump them, any thread may snapshot.
 class RuntimeTelemetry {
  public:
   using ClockNs = std::uint64_t (*)();
@@ -141,23 +144,16 @@ class RuntimeTelemetry {
   explicit RuntimeTelemetry(ClockNs now_ns = &runtime_now_ns,
                             ClockMs unix_ms = &runtime_unix_ms);
 
-  // Identity stamps, set once by the tool before the run starts.
+  // Identity stamps, set once by the tool before the run starts (plain
+  // fields: call both before any HeartbeatWriter reads them).
   void describe_run(std::uint64_t spec_fingerprint, std::size_t shard_k, std::size_t shard_n,
                     int threads);
   // Marks the start of the measured run and fixes the plan count.
   void begin_run(std::uint64_t plans_total);
 
-  // Ring topology: one task-ring and one outcome-ring sink per worker.
-  // Called by run_pipeline before any worker thread starts; the returned
-  // sinks stay valid for the telemetry object's lifetime.
-  void configure_workers(std::size_t workers);
-  [[nodiscard]] util::RingStatSink* task_ring_stats(std::size_t worker);
-  [[nodiscard]] util::RingStatSink* outcome_ring_stats(std::size_t worker);
-
-  // Stage hooks (relaxed; called from pipeline threads).
+  // Stage hooks (relaxed; called from worker threads).
   void note_plan_done(std::uint64_t busy_ns);                    // a worker finished one shard
-  void note_sink_items(std::uint64_t items, std::uint64_t busy_ns);  // collector sank outcomes
-  void note_collector_idle_spin();
+  void note_sink_items(std::uint64_t items, std::uint64_t busy_ns);  // outcomes reached the sink
   void note_records(std::uint64_t n);
   void note_bytes_encoded(std::uint64_t n);
 
@@ -178,41 +174,43 @@ class RuntimeTelemetry {
   std::uint64_t plans_total_ = 0;
   std::uint64_t started_unix_ms_ = 0;
   std::uint64_t started_ns_ = 0;
-  // deque: RingStatSink holds atomics (immovable); deque growth never moves
-  // existing elements, so handed-out pointers stay valid.
-  std::deque<util::RingStatSink> task_sinks_;
-  std::deque<util::RingStatSink> outcome_sinks_;
   std::atomic<std::uint64_t> plans_done_{0};
   std::atomic<std::uint64_t> worker_busy_ns_{0};
   std::atomic<std::uint64_t> sink_items_{0};
   std::atomic<std::uint64_t> collector_busy_ns_{0};
-  std::atomic<std::uint64_t> collector_idle_spins_{0};
   std::atomic<std::uint64_t> records_{0};
   std::atomic<std::uint64_t> bytes_encoded_{0};
 };
 
-// Rate-limited crash-safe heartbeat emission: every write goes through
-// util::write_file_atomic, so the file at `path` is always a complete JSON
-// document. write_update() is cheap to call from the collector's sink hook —
-// it no-ops until `interval_ms` has passed since the last write.
+// Crash-safe heartbeat emission on a ticker thread of its own: every write
+// goes through util::write_file_atomic, so the file at `path` is always a
+// complete JSON document. The ticker writes "starting" at once, then
+// "running" every `interval_ms` whether or not a shard completed — stale
+// progress under a fresh timestamp is how a wedged worker shows up. Tick
+// I/O errors are swallowed (telemetry must never fail the measurement; the
+// next tick retries). Construct the writer after describe_run/begin_run:
+// the ticker reads those plain fields.
 class HeartbeatWriter {
  public:
   HeartbeatWriter(std::string path, const RuntimeTelemetry& telemetry,
                   std::uint64_t interval_ms = 500);
 
-  // Periodic "running" heartbeat (rate-limited; errors are swallowed —
-  // telemetry must never fail the measurement).
-  void write_update();
-  // Forced terminal write ("done" / "failed"); surfaces I/O errors.
+  // Stops and joins the ticker, then writes the terminal status ("done" /
+  // "failed") as the file's last write; surfaces I/O errors.
   [[nodiscard]] Result<void> write_final(std::string_view status);
 
  private:
-  [[nodiscard]] Result<void> emit_heartbeat(std::string status);
+  void tick(const std::stop_token& stop);
+  [[nodiscard]] Result<void> emit_heartbeat(std::string status) const;
 
   std::string path_;
   const RuntimeTelemetry& telemetry_;
-  std::uint64_t interval_ns_;
-  std::uint64_t last_write_ns_ = 0;
+  std::chrono::milliseconds interval_;
+  std::mutex mutex_;  // the condition variable's lock; guards no data
+  std::condition_variable_any wake_;
+  // Declared last so it joins before the members it uses are destroyed.
+  // ednsm-lint: allow(concurrency-raw-thread) — heartbeat ticker, does no shard work
+  std::jthread ticker_;
 };
 
 }  // namespace ednsm::obs

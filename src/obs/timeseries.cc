@@ -92,6 +92,7 @@ class ByteReader {
   }
 
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
  private:
   const util::Bytes& data_;
@@ -487,8 +488,10 @@ Result<TimeSeries> TimeSeries::from_binary(const util::Bytes& bytes) {
 
   std::uint32_t n_names = 0;
   if (!r.read_u32(n_names)) return fail("truncated string table size");
+  // Counts come from the blob, so a reserve is capped by what the remaining
+  // bytes could hold (a string entry is at least its 4-byte length).
   std::vector<std::string> table;
-  table.reserve(n_names);
+  table.reserve(std::min<std::size_t>(n_names, r.remaining() / 4));
   for (std::uint32_t i = 0; i < n_names; ++i) {
     std::string s;
     if (!r.read_str(s)) return fail("truncated string table");
@@ -527,7 +530,7 @@ Result<TimeSeries> TimeSeries::from_binary(const util::Bytes& bytes) {
       }
       std::uint32_t n_bins = 0;
       if (!r.read_u32(n_bins)) return fail("truncated histogram bin count");
-      p.bins.reserve(n_bins);
+      p.bins.reserve(std::min<std::size_t>(n_bins, r.remaining() / 12));  // u32 bin + u64 count
       for (std::uint32_t b = 0; b < n_bins; ++b) {
         std::uint32_t bin = 0;
         std::uint64_t cnt = 0;

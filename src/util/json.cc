@@ -87,6 +87,7 @@ void dump_impl(const Json& j, std::string& out, int indent, int depth) {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
+  int depth = 0;  // containers currently open
 
   void skip_ws() {
     while (pos < text.size() &&
@@ -107,8 +108,15 @@ struct Parser {
     skip_ws();
     if (pos >= text.size()) return Err{std::string("json: unexpected end")};
     const char c = text[pos];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth == Json::kMaxParseDepth) {
+        return Err{"json: nesting deeper than " + std::to_string(Json::kMaxParseDepth)};
+      }
+      ++depth;
+      auto container = c == '{' ? object() : array();
+      --depth;
+      return container;
+    }
     if (c == '"') {
       auto s = string();
       if (!s) return Err{s.error()};

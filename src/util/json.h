@@ -60,6 +60,11 @@ class Json {
   // Serialize. indent 0 = compact; otherwise pretty-printed.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
+  // Deepest container nesting parse() accepts. The parser recurses once per
+  // level, so a fixed bound keeps hostile input ("[[[[...") from exhausting
+  // the stack; deeper documents are an error, not a crash.
+  static constexpr int kMaxParseDepth = 512;
+
   [[nodiscard]] static Result<Json> parse(std::string_view text);
 
  private:

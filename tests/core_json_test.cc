@@ -96,6 +96,39 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("\"\\u12g4\"").has_value());
 }
 
+// Hostile nesting is an error, not a stack overflow; sane depths still parse.
+TEST(Json, ParseBoundsNestingDepth) {
+  constexpr std::size_t kHostile = 100000;
+  const auto arrays = Json::parse(std::string(kHostile, '[') + std::string(kHostile, ']'));
+  ASSERT_FALSE(arrays.has_value());
+  EXPECT_NE(arrays.error().find("nesting"), std::string::npos) << arrays.error();
+  std::string objects;
+  for (std::size_t i = 0; i < kHostile; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kHostile, '}');
+  const auto objs = Json::parse(objects);
+  ASSERT_FALSE(objs.has_value());
+  EXPECT_NE(objs.error().find("nesting"), std::string::npos) << objs.error();
+
+  // 256 levels of alternating arrays and objects parse intact.
+  std::string mixed;
+  for (int i = 0; i < 128; ++i) mixed += "[{\"k\":";
+  mixed += "true";
+  for (int i = 0; i < 128; ++i) mixed += "}]";
+  const auto deep = Json::parse(mixed);
+  ASSERT_TRUE(deep.has_value()) << deep.error();
+  const Json* node = &deep.value();
+  for (int i = 0; i < 128; ++i) {
+    ASSERT_TRUE(node->is_array());
+    node = &node->as_array().at(0).at("k");
+  }
+  EXPECT_TRUE(node->is_bool() && node->as_bool());
+
+  // The bound is exact: kMaxParseDepth levels parse, one more does not.
+  const std::size_t max = Json::kMaxParseDepth;
+  EXPECT_TRUE(Json::parse(std::string(max, '[') + std::string(max, ']')).has_value());
+  EXPECT_FALSE(Json::parse(std::string(max + 1, '[') + std::string(max + 1, ']')).has_value());
+}
+
 TEST(Json, RoundTripComplexDocument) {
   JsonObject o;
   o["name"] = Json("ednsm");

@@ -164,6 +164,33 @@ TEST(TimeSeries, BinaryRoundTripAndValidation) {
   EXPECT_FALSE(obs::TimeSeries::from_binary(util::Bytes{}));
 }
 
+// A 20-byte header claiming 2^32 - 1 string-table entries must fail as a
+// truncated table, not throw std::bad_alloc through the Result API.
+TEST(TimeSeries, BinaryHugeCountsFailWithoutAllocating) {
+  const util::Bytes huge_table = {'E', 'D', 'T', 'S',           // magic
+                                  1, 0, 0, 0,                   // version 1
+                                  1, 0, 0, 0, 0, 0, 0, 0,       // bucket width 1
+                                  0xFF, 0xFF, 0xFF, 0xFF};      // n_names
+  ASSERT_EQ(huge_table.size(), 20u);
+  const auto parsed = obs::TimeSeries::from_binary(huge_table);
+  ASSERT_FALSE(parsed);
+  EXPECT_NE(parsed.error().find("truncated string table"), std::string::npos) << parsed.error();
+
+  // The same for a histogram point claiming 2^32 - 1 bins.
+  obs::TimeSeries ts(1);
+  ts.observe("lat", "v", "r", "DoH", 0, 1.0);
+  util::Bytes blob = ts.to_binary();
+  // The only point ends the blob: its u32 bin count, then one 12-byte bin
+  // (u32 index + u64 count). Cut the bin and claim 2^32 - 1 of them.
+  const std::size_t n_bins_at = blob.size() - 12 - 4;
+  ASSERT_EQ(blob[n_bins_at], 1u);
+  blob.resize(n_bins_at);
+  for (int i = 0; i < 4; ++i) blob.push_back(0xFF);
+  const auto bins = obs::TimeSeries::from_binary(blob);
+  ASSERT_FALSE(bins);
+  EXPECT_NE(bins.error().find("truncated histogram bins"), std::string::npos) << bins.error();
+}
+
 TEST(TimeSeries, SeriesPointCodecAndInsertValidation) {
   obs::TimeSeries ts(1);
   ts.observe("lat", "v", "r", "DoH", 0, 42.0);

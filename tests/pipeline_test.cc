@@ -1,14 +1,19 @@
 // Pipeline vocabulary and the deterministic-merge contract: spec expansion,
 // --shard k/N slicing (including the edge topologies the ISSUE calls out:
 // empty vantage list, N greater than the plan count, the k = N-1 remainder
-// slice, and merges containing empty shards), the ShardCollector merge, and
-// the shard-file round trip that carries outcomes across processes.
+// slice, and merges containing empty shards), the ShardCollector merge, the
+// run_pipeline claim loop, and the shard-file round trip that carries
+// outcomes across processes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/parallel_campaign.h"
@@ -182,6 +187,93 @@ TEST(Pipeline, AnyShardTopologyMergesByteIdentical) {
     EXPECT_EQ(dump(collector.finish(&merged_obs)), reference) << "topology n=" << n;
     EXPECT_EQ(merged_obs.trace.chrome_json(), ref_obs.trace.chrome_json()) << "n=" << n;
     EXPECT_EQ(merged_obs.metrics.jsonl(), ref_obs.metrics.jsonl()) << "n=" << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// run_pipeline: the claim loop itself, driven with hand-made plans.
+// ---------------------------------------------------------------------------
+
+// `n` plans over the seven paper vantages (reused round-robin), each with its
+// own seed, against a one-resolver, one-round spec so every shard is quick.
+MeasurementSpec tiny_spec() {
+  MeasurementSpec spec;
+  spec.resolvers = {"dns.google"};
+  spec.vantage_ids = {"ec2-ohio",       "ec2-frankfurt",  "ec2-seoul",     "home-chicago-1",
+                      "home-chicago-2", "home-chicago-3", "home-chicago-4"};
+  spec.rounds = 1;
+  spec.seed = 7;
+  return spec;
+}
+
+std::vector<ShardPlan> hand_made_plans(const MeasurementSpec& spec, std::size_t n) {
+  std::vector<ShardPlan> plans;
+  for (std::size_t i = 0; i < n; ++i) {
+    plans.push_back({i, spec.vantage_ids[i % spec.vantage_ids.size()], 1000 + i});
+  }
+  return plans;
+}
+
+// The sink's state is deliberately unsynchronised: only the engine's mutex
+// makes it safe, which the TSan job checks. The overlap counter checks the
+// same property directly.
+TEST(Pipeline, RunPipelineSinksEveryPlanExactlyOnce) {
+  const MeasurementSpec spec = tiny_spec();
+  const std::vector<ShardPlan> plans = hand_made_plans(spec, 16);
+  std::vector<int> arrivals(plans.size(), 0);
+  std::vector<std::size_t> order;
+  std::atomic<int> inside{0};
+  run_pipeline(spec, plans, 4, {}, [&](ShardOutcome&& outcome) {
+    EXPECT_EQ(inside.fetch_add(1), 0) << "sink calls overlapped";
+    ASSERT_LT(outcome.index, plans.size());
+    ++arrivals[outcome.index];
+    order.push_back(outcome.index);
+    EXPECT_EQ(outcome.vantage, plans[outcome.index].vantage);
+    EXPECT_EQ(outcome.seed, plans[outcome.index].seed);
+    inside.fetch_sub(1);
+  });
+  EXPECT_EQ(order.size(), plans.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) EXPECT_EQ(arrivals[i], 1) << "plan " << i;
+}
+
+// A sink that throws on its second outcome: the error reaches the caller
+// once every helper has joined, and the sink is never called again.
+TEST(Pipeline, RunPipelineRethrowsSinkErrorWithoutHanging) {
+  const MeasurementSpec spec = tiny_spec();
+  const std::vector<ShardPlan> plans = hand_made_plans(spec, 16);
+  int calls = 0;
+  try {
+    run_pipeline(spec, plans, 4, {}, [&](ShardOutcome&&) {
+      if (++calls == 2) throw std::runtime_error("sink refused outcome");
+    });
+    FAIL() << "sink error was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink refused outcome");
+  }
+  EXPECT_EQ(calls, 2);
+}
+
+// More threads than plans: at most one worker per plan. A single plan runs
+// on the calling thread itself, and so does any threads value below 1.
+TEST(Pipeline, RunPipelineClampsThreadsToPlanCount) {
+  const MeasurementSpec spec = tiny_spec();
+  const std::vector<ShardPlan> plans = hand_made_plans(spec, 3);
+  std::set<std::thread::id> sink_threads;
+  std::size_t delivered = 0;
+  run_pipeline(spec, plans, 64, {}, [&](ShardOutcome&&) {
+    sink_threads.insert(std::this_thread::get_id());
+    ++delivered;
+  });
+  EXPECT_EQ(delivered, plans.size());
+  EXPECT_LE(sink_threads.size(), plans.size());
+
+  const std::vector<ShardPlan> one(plans.begin(), plans.begin() + 1);
+  for (const int threads : {64, 1, 0, -3}) {
+    std::vector<std::thread::id> ran_on;
+    run_pipeline(spec, one, threads, {},
+                 [&](ShardOutcome&&) { ran_on.push_back(std::this_thread::get_id()); });
+    ASSERT_EQ(ran_on.size(), 1u) << "threads=" << threads;
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << "threads=" << threads;
   }
 }
 

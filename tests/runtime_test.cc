@@ -1,16 +1,19 @@
 // Runtime telemetry (src/obs/runtime.h): heartbeat/manifest codecs, the
 // strict validators trace_check --heartbeat relies on, snapshot math under
 // injected fake clocks, straggler detection, the campaign fold, and the
-// crash-safe HeartbeatWriter. Everything here runs with deterministic clocks
-// — the only wall-clock reads happen in production defaults, not in tests.
+// crash-safe HeartbeatWriter. Snapshots run with deterministic clocks; only
+// the writer's ticker waits on real time (its interval).
 #include "obs/runtime.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/json.h"
@@ -47,10 +50,7 @@ RuntimeHeartbeat sample_heartbeat() {
   s.stage = "simulate";
   s.items_in = 12;
   s.items_out = 10;
-  s.stall_spins = 3;
-  s.stall_ns = 900;
   s.busy_ns = 1000000;
-  s.max_queue_depth = 7;
   h.stages.push_back(s);
   return h;
 }
@@ -103,7 +103,8 @@ TEST(RuntimeCodec, HeartbeatRoundTrip) {
   ASSERT_EQ(r.stages.size(), 1u);
   EXPECT_EQ(r.stages[0].stage, "simulate");
   EXPECT_EQ(r.stages[0].items_in, 12u);
-  EXPECT_EQ(r.stages[0].max_queue_depth, 7u);
+  EXPECT_EQ(r.stages[0].items_out, 10u);
+  EXPECT_EQ(r.stages[0].busy_ns, 1000000u);
 }
 
 TEST(RuntimeCodec, ManifestRoundTrip) {
@@ -142,6 +143,7 @@ TEST(RuntimeCodec, HeartbeatValidationRejectsBadDocuments) {
   const std::vector<Case> cases = {
       {"schema", util::Json(std::string("wrong")), "schema"},
       {"version", util::Json(99), "version"},
+      {"version", util::Json(1), "version"},  // v1 (ring stage fields) has no reader
       {"status", util::Json(std::string("jogging")), "status"},
       {"spec_fingerprint", util::Json(std::string("xyz")), "spec_fingerprint"},
       {"plans_done", util::Json(41), "plans_done exceeds plans_total"},
@@ -180,6 +182,7 @@ TEST(RuntimeCodec, ManifestValidationRejectsBadDocuments) {
   };
   const std::vector<Case> cases = {
       {"schema", util::Json(std::string("ednsm-heartbeat")), "schema"},
+      {"version", util::Json(1), "version"},
       {"status", util::Json(std::string("meh")), "status"},
       {"seed", util::Json(12), "seed"},
       {"plans", util::Json(41), "plans exceeds total_shards"},
@@ -206,7 +209,6 @@ TEST(RuntimeTelemetryTest, SnapshotMathUnderFakeClocks) {
   g_fake_ms += 2000;
   for (int i = 0; i < 4; ++i) t.note_plan_done(100000000ull);  // 0.1 s busy each
   t.note_sink_items(3, 50000000ull);
-  t.note_collector_idle_spin();
   t.note_records(60);
   t.note_bytes_encoded(2048);
 
@@ -227,50 +229,21 @@ TEST(RuntimeTelemetryTest, SnapshotMathUnderFakeClocks) {
   EXPECT_DOUBLE_EQ(h.plans_per_sec, 2.0);  // 4 plans / 2 s
   EXPECT_DOUBLE_EQ(h.eta_ms, 2000.0);      // half done after 2 s -> 2 s left
 
-  ASSERT_EQ(h.stages.size(), 3u);
-  EXPECT_EQ(h.stages[0].stage, "expand");
+  ASSERT_EQ(h.stages.size(), 2u);
+  EXPECT_EQ(h.stages[0].stage, "simulate");
   EXPECT_EQ(h.stages[0].items_in, 8u);
-  EXPECT_EQ(h.stages[1].stage, "simulate");
-  EXPECT_EQ(h.stages[1].items_out, 4u);
-  EXPECT_EQ(h.stages[1].busy_ns, 400000000ull);
-  EXPECT_EQ(h.stages[2].stage, "collect");
-  EXPECT_EQ(h.stages[2].items_out, 3u);
-  EXPECT_EQ(h.stages[2].busy_ns, 50000000ull);
-  EXPECT_EQ(h.stages[2].stall_spins, 1u);
+  EXPECT_EQ(h.stages[0].items_out, 4u);
+  EXPECT_EQ(h.stages[0].busy_ns, 400000000ull);
+  EXPECT_EQ(h.stages[1].stage, "collect");
+  EXPECT_EQ(h.stages[1].items_in, 4u);
+  EXPECT_EQ(h.stages[1].items_out, 3u);
+  EXPECT_EQ(h.stages[1].busy_ns, 50000000ull);
 
   // The snapshot round-trips through its own codec (what --progress-file
   // writes is exactly what ednsm_watch parses).
   auto parsed = RuntimeHeartbeat::heartbeat_from_json(h.heartbeat_json());
   ASSERT_TRUE(parsed) << parsed.error();
   EXPECT_EQ(parsed.value().plans_done, 4u);
-}
-
-TEST(RuntimeTelemetryTest, RingSinkAggregation) {
-  g_fake_ns = 1;
-  g_fake_ms = 1;
-  RuntimeTelemetry t(&fake_ns, &fake_ms);
-  t.begin_run(10);
-  t.configure_workers(2);
-  ASSERT_NE(t.task_ring_stats(0), nullptr);
-  ASSERT_NE(t.task_ring_stats(1), nullptr);
-  ASSERT_NE(t.outcome_ring_stats(1), nullptr);
-  EXPECT_EQ(t.task_ring_stats(2), nullptr);  // out of range
-
-  t.task_ring_stats(0)->pushes.store(6);
-  t.task_ring_stats(1)->pushes.store(4);
-  t.task_ring_stats(0)->pops.store(5);
-  t.task_ring_stats(1)->pops.store(4);
-  t.task_ring_stats(0)->max_occupancy.store(3);
-  t.task_ring_stats(1)->max_occupancy.store(9);
-  t.outcome_ring_stats(0)->pops.store(7);
-  t.outcome_ring_stats(1)->push_stall_spins.store(11);
-
-  const RuntimeHeartbeat h = t.snapshot_runtime("running");
-  EXPECT_EQ(h.stages[0].items_out, 10u);       // task pushes summed
-  EXPECT_EQ(h.stages[0].max_queue_depth, 9u);  // max across workers
-  EXPECT_EQ(h.stages[1].items_in, 9u);         // task pops summed
-  EXPECT_EQ(h.stages[1].stall_spins, 11u);     // outcome push stalls
-  EXPECT_EQ(h.stages[2].items_in, 7u);         // outcome pops summed
 }
 
 TEST(RuntimeTelemetryTest, ZeroPlansMeansZeroedDerivedRates) {
@@ -353,57 +326,60 @@ TEST(RuntimeCampaignFold, TotalsAndSortedShards) {
   EXPECT_TRUE(shards[2].at("straggler").as_bool());
 }
 
-TEST(HeartbeatWriterTest, RateLimitAndTerminalWrites) {
+// The ticker refreshes the file on its own — no shard has to complete — and
+// write_final's terminal status is the last write. Every read, taken while
+// the ticker may be mid-rename, parses as a complete heartbeat.
+TEST(HeartbeatWriterTest, TickerRefreshesAndFinalWriteIsLast) {
   g_fake_ns = 1;
   g_fake_ms = 1000;
   RuntimeTelemetry t(&fake_ns, &fake_ms);
   t.describe_run(0x1ull, 0, 1, 1);
   t.begin_run(4);
   const std::string path = std::string(::testing::TempDir()) + "ednsm_heartbeat_test.json";
-  HeartbeatWriter writer(path, t, /*interval_ms=*/500);
+  std::remove(path.c_str());
 
-  auto read_status = [&path]() {
+  // Empty when the file is not there yet; otherwise it must parse.
+  auto read_status = [&path]() -> std::string {
     std::ifstream in(path);
+    if (!in) return "";
     std::stringstream buf;
     buf << in.rdbuf();
     auto j = util::Json::parse(buf.str());
     EXPECT_TRUE(j) << (j ? "" : j.error());
-    return j ? j.value().at("status").as_string() : std::string();
+    if (!j) return "";
+    auto parsed = RuntimeHeartbeat::heartbeat_from_json(j.value());
+    EXPECT_TRUE(parsed) << (parsed ? "" : parsed.error());
+    return parsed ? parsed.value().status : "";
   };
 
-  writer.write_update();  // first call always writes, as "starting"
-  EXPECT_EQ(read_status(), "starting");
+  HeartbeatWriter writer(path, t, /*interval_ms=*/1);
+  std::string status;
+  for (int poll = 0; poll < 5000 && status != "running"; ++poll) {
+    status = read_status();
+    EXPECT_TRUE(status.empty() || status == "starting" || status == "running") << status;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(status, "running");
 
   t.note_plan_done(0);
-  writer.write_update();  // within the interval: rate-limited, no rewrite
-  EXPECT_EQ(read_status(), "starting");
-
-  g_fake_ns += 600ull * 1000000ull;  // past the 500 ms interval
-  writer.write_update();
-  EXPECT_EQ(read_status(), "running");
-
   auto final_ok = writer.write_final("done");
   ASSERT_TRUE(final_ok) << final_ok.error();
   EXPECT_EQ(read_status(), "done");
-
-  // The file on disk is always a complete, valid heartbeat document.
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  auto parsed = RuntimeHeartbeat::heartbeat_from_json(util::Json::parse(buf.str()).value());
-  ASSERT_TRUE(parsed) << parsed.error();
-  EXPECT_EQ(parsed.value().plans_done, 1u);
+  // Several intervals later the ticker has not overwritten the terminal write.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(read_status(), "done");
 }
 
+// Tick I/O errors never throw or abort; the terminal write surfaces them.
 TEST(HeartbeatWriterTest, UpdateSwallowsIoErrors) {
   g_fake_ns = 1;
   g_fake_ms = 1;
   RuntimeTelemetry t(&fake_ns, &fake_ms);
   t.begin_run(1);
-  HeartbeatWriter writer("/nonexistent-dir/heartbeat.json", t);
-  writer.write_update();  // must not throw or abort
+  HeartbeatWriter writer("/nonexistent-dir/heartbeat.json", t, /*interval_ms=*/1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // several failing ticks
   auto final_result = writer.write_final("done");
-  EXPECT_FALSE(final_result);  // terminal write surfaces the error
+  EXPECT_FALSE(final_result);
 }
 
 }  // namespace

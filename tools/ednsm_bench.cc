@@ -14,8 +14,8 @@
 //     pipeline engine with --threads N workers (default 1).
 //   monitor — the longitudinal epoch driver: a 7-resolver watchlist over 30
 //     daily epochs with one scripted outage (bench_monitor's scenario).
-//   micro — engine micro-costs: uncontended SPSC ring throughput plus a
-//     minimal one-vantage pipeline campaign.
+//   micro — fixed costs: a minimal one-vantage campaign plus the full-tree
+//     lint pass.
 //
 // Every suite emits a "header" object pinning the exact workload (suite,
 // seed, threads, effective_threads, rounds) — the attribution key the perf
@@ -44,11 +44,9 @@
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
 #include "obs/profile.h"
-#include "obs/runtime.h"
 #include "resolver/registry.h"
 #include "stats/quantile.h"
 #include "util/json.h"
-#include "util/spsc_ring.h"
 #include "util/strings.h"
 
 using namespace ednsm;
@@ -299,60 +297,8 @@ int main(int argc, char** argv) {
     o["wall_ms"] = util::Json(best_wall_ms);
     o["diagnose_wall_ms"] = util::Json(best_diagnose_ms);
   } else if (suite == "micro") {
-    // Uncontended ring throughput: the per-item handoff cost the pipeline
-    // pays, measured without thread scheduling noise.
-    constexpr std::size_t kRingOps = 1u << 20;
-    double ring_wall_ms = 0.0;
-    std::uint64_t checksum = 0;
-    {
-      const auto scope = profiler.scope("ring");
-      for (int run = 0; run < repeat; ++run) {
-        util::SpscRing<std::uint64_t> ring(1024);
-        const auto start = WallClock::now();
-        std::uint64_t sum = 0;
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < kRingOps; ++i) {
-          ring.push(i);
-          if (ring.try_pop(v)) sum += v;
-        }
-        const double wall_ms = elapsed_ms(start);
-        checksum = sum;
-        if (run == 0 || wall_ms < ring_wall_ms) ring_wall_ms = wall_ms;
-      }
-    }
-
-    // Telemetry-on variant of the same loop: a RingStatSink attached with the
-    // real monotonic clock, exactly what --progress-file arms on the pipeline
-    // rings. The delta against the plain lane is the per-handoff telemetry
-    // cost (telemetry_overhead_pct; BM_RuntimeTelemetryOverhead is the
-    // google-benchmark twin). Wall-time only — the checksum must match the
-    // plain lane, re-asserting that telemetry never changes the data path.
-    double ring_telemetry_wall_ms = 0.0;
-    std::uint64_t telemetry_checksum = 0;
-    std::uint64_t telemetry_pushes = 0;
-    {
-      const auto scope = profiler.scope("ring-telemetry");
-      for (int run = 0; run < repeat; ++run) {
-        util::SpscRing<std::uint64_t> ring(1024);
-        util::RingStatSink sink;
-        sink.now_ns = &obs::runtime_now_ns;
-        ring.attach_stats(&sink);
-        const auto start = WallClock::now();
-        std::uint64_t sum = 0;
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < kRingOps; ++i) {
-          ring.push(i);
-          if (ring.try_pop(v)) sum += v;
-        }
-        const double wall_ms = elapsed_ms(start);
-        telemetry_checksum = sum;
-        telemetry_pushes = sink.pushes.load();
-        if (run == 0 || wall_ms < ring_telemetry_wall_ms) ring_telemetry_wall_ms = wall_ms;
-      }
-    }
-
-    // Minimal pipeline campaign: one vantage, a handful of resolvers — the
-    // fixed per-campaign overhead (world build, expansion, collection).
+    // Minimal campaign: one vantage, a handful of resolvers — the fixed
+    // per-campaign overhead (world build, expansion, collection).
     core::MeasurementSpec spec;
     spec.resolvers = {"dns.google", "ordns.he.net", "dns.quad9.net"};
     spec.vantage_ids = {"ec2-ohio"};
@@ -402,22 +348,6 @@ int main(int argc, char** argv) {
     o["repeat"] = util::Json(static_cast<double>(repeat));
     o["lint_files"] = util::Json(static_cast<double>(lint_files));
     o["lint_wall_ms"] = util::Json(lint_wall_ms);
-    o["ring_ops"] = util::Json(static_cast<double>(kRingOps));
-    o["ring_checksum"] = util::Json(static_cast<double>(checksum));
-    o["ring_ops_per_sec"] = util::Json(
-        ring_wall_ms > 0.0 ? static_cast<double>(kRingOps) / (ring_wall_ms / 1000.0) : 0.0);
-    // Wall-clock telemetry lane: outside the perf gate's deterministic field
-    // set (like lint_wall_ms), tracked for trend only.
-    o["ring_telemetry_ops_per_sec"] = util::Json(
-        ring_telemetry_wall_ms > 0.0
-            ? static_cast<double>(kRingOps) / (ring_telemetry_wall_ms / 1000.0)
-            : 0.0);
-    o["telemetry_overhead_pct"] = util::Json(
-        ring_wall_ms > 0.0
-            ? (ring_telemetry_wall_ms - ring_wall_ms) / ring_wall_ms * 100.0
-            : 0.0);
-    o["telemetry_checksum_identical"] =
-        util::Json(telemetry_checksum == checksum && telemetry_pushes == kRingOps);
     o["records"] = util::Json(static_cast<double>(result.records.size()));
     o["pings"] = util::Json(static_cast<double>(result.pings.size()));
     o["error_rate"] = util::Json(result.availability.overall().error_rate());

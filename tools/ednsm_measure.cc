@@ -35,7 +35,8 @@
 // without them.
 //
 // --progress-file writes a crash-safe wall-clock heartbeat JSON (atomic
-// rename; poll it or point ednsm_watch at it) updated as the pipeline runs;
+// rename; poll it or point ednsm_watch at it) refreshed every 500 ms by
+// its own ticker thread while the run is in flight;
 // --manifest writes the end-of-run provenance record ednsm_merge
 // cross-checks. Both live in the runtime telemetry clock domain (see
 // DESIGN.md): results/trace/metrics are byte-identical with them on or off.
@@ -198,10 +199,15 @@ int main(int argc, char** argv) {
   std::optional<obs::HeartbeatWriter> heartbeat;
   const bool telemetry_on = progress_path != nullptr || manifest_path != nullptr;
   if (telemetry_on) obs_options.runtime = &telemetry;
-  if (progress_path != nullptr) {
-    heartbeat.emplace(*progress_path, telemetry);
-    obs_options.heartbeat = &*heartbeat;
-  }
+
+  // Stamps the run's identity, then starts the heartbeat ticker (which reads
+  // those stamps, so it must come second).
+  auto start_telemetry = [&](std::size_t shard_k, std::size_t shard_n, std::size_t plans) {
+    if (!telemetry_on) return;
+    telemetry.describe_run(core::spec_fingerprint(spec.value()), shard_k, shard_n, threads);
+    telemetry.begin_run(plans);
+    if (progress_path != nullptr) heartbeat.emplace(*progress_path, telemetry);
+  };
 
   auto file_size_bytes = [](const std::string& p) -> std::uint64_t {
     std::ifstream f(p, std::ios::binary | std::ios::ate);
@@ -255,12 +261,7 @@ int main(int argc, char** argv) {
     const std::vector<core::ShardPlan> plans = core::expand_spec(spec.value());
     const std::vector<core::ShardPlan> mine = core::slice_plans(plans, slice.value());
 
-    if (telemetry_on) {
-      telemetry.describe_run(core::spec_fingerprint(spec.value()), slice.value().k,
-                             slice.value().n, threads);
-      telemetry.begin_run(mine.size());
-      if (heartbeat.has_value()) heartbeat->write_update();  // initial "starting"
-    }
+    start_telemetry(slice.value().k, slice.value().n, mine.size());
 
     core::ShardFile file;
     file.spec = spec.value();
@@ -338,11 +339,7 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t plan_count = spec.value().vantage_ids.size();
-  if (telemetry_on) {
-    telemetry.describe_run(core::spec_fingerprint(spec.value()), 0, 1, threads);
-    telemetry.begin_run(plan_count);
-    if (heartbeat.has_value()) heartbeat->write_update();  // initial "starting"
-  }
+  start_telemetry(0, 1, plan_count);
 
   const core::CampaignResult result =
       core::run_parallel_campaign(spec.value(), threads, obs_options, &obs_data);

@@ -36,9 +36,9 @@ namespace {
 // The deterministic (spec-derived) summary fields, compared exactly when the
 // ledger row carries them.
 constexpr const char* kSimFields[] = {
-    "records",    "pings",         "error_rate", "series_points", "slo_samples",
-    "events",     "ring_ops",      "ring_checksum", "cold_queries", "warm_queries",
-    "cold_median_ms", "warm_median_ms", "resolvers", "vantages", "epochs",
+    "records",      "pings",          "error_rate",     "series_points", "slo_samples",
+    "events",       "cold_queries",   "warm_queries",   "cold_median_ms", "warm_median_ms",
+    "resolvers",    "vantages",       "epochs",
 };
 
 Result<util::Json> load_json(const std::string& path) {

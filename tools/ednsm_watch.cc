@@ -9,9 +9,10 @@
 // The watcher re-reads the whole fleet every interval and renders a
 // per-shard/per-stage table: completion, throughput, ETA, collector lag,
 // staleness (ms since the process last wrote — a wedged or dead shard shows
-// frozen progress with growing staleness), and the expand/simulate/collect
-// stage counters. It exits when every heartbeat reports a terminal status
-// ("done"/"failed"), or after one render with --once.
+// frozen progress with growing staleness), and the simulate/collect stage
+// counters (items in, items out, busy time). It exits when every heartbeat
+// reports a terminal status ("done"/"failed"), or after one render with
+// --once.
 //
 // --prom additionally writes the fleet's runtime gauges in Prometheus text
 // exposition (monitor/prom) to the given path on every cycle, atomically, so
@@ -97,15 +98,10 @@ std::string render(const std::vector<WatchedFile>& fleet, std::uint64_t stale_af
                   static_cast<unsigned long long>(stale));
     out += line;
     for (const obs::RuntimeStageSnapshot& s : h.stages) {
-      std::snprintf(line, sizeof(line),
-                    "        %-9s  in=%-8llu out=%-8llu stalls=%-8llu stall_ms=%-9.1f "
-                    "busy_ms=%-9.1f maxq=%llu\n",
+      std::snprintf(line, sizeof(line), "        %-9s  in=%-8llu out=%-8llu busy_ms=%.1f\n",
                     s.stage.c_str(), static_cast<unsigned long long>(s.items_in),
                     static_cast<unsigned long long>(s.items_out),
-                    static_cast<unsigned long long>(s.stall_spins),
-                    static_cast<double>(s.stall_ns) / 1e6,
-                    static_cast<double>(s.busy_ns) / 1e6,
-                    static_cast<unsigned long long>(s.max_queue_depth));
+                    static_cast<double>(s.busy_ns) / 1e6);
       out += line;
     }
   }
