@@ -67,18 +67,16 @@ std::vector<double> CampaignResult::ping_times(const std::string& vantage,
   return samples == nullptr ? std::vector<double>{} : *samples;
 }
 
-util::Json CampaignResult::to_json() const {
-  util::JsonObject o;
-  o["spec"] = spec.to_json();
-  util::JsonArray recs;
-  recs.reserve(records.size());
-  for (const ResultRecord& r : records) recs.push_back(r.to_json());
-  o["records"] = util::Json(std::move(recs));
-  util::JsonArray pngs;
-  pngs.reserve(pings.size());
-  for (const PingRecord& p : pings) pngs.push_back(p.to_json());
-  o["pings"] = util::Json(std::move(pngs));
-  return util::Json(std::move(o));
+void CampaignResult::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("pings").begin_array();
+  for (const PingRecord& p : pings) p.to_json(w);
+  w.end_array();
+  w.key("records").begin_array();
+  for (const ResultRecord& r : records) r.to_json(w);
+  w.end_array();
+  w.key("spec").value(spec.to_json());
+  w.end_object();
 }
 
 Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
@@ -106,7 +104,10 @@ Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
 }
 
 void CampaignResult::write_json(std::ostream& os, int indent) const {
-  os << to_json().dump(indent) << '\n';
+  util::JsonWriter w(os, indent);
+  to_json(w);
+  w.flush();
+  os << '\n';
 }
 
 }  // namespace ednsm::core

@@ -63,10 +63,12 @@ struct CampaignResult {
   // Not thread-safe: concurrent first calls on the same object race.
   [[nodiscard]] const PairSampleIndex& index() const;
 
-  // The tool's JSON output (object with "spec", "records", "pings").
-  [[nodiscard]] util::Json to_json() const;
+  // The tool's JSON output (object with "pings", "records", "spec"),
+  // streamed record by record.
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<CampaignResult> from_json(const util::Json& j);
 
+  // to_json through a writer on `os`, then a newline.
   void write_json(std::ostream& os, int indent = 2) const;
 
  private:

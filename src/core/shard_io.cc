@@ -23,40 +23,38 @@ Result<std::uint64_t> u64_from_hex(const std::string& s) {
   return v;
 }
 
-util::Json ShardFile::to_json() const {
-  util::JsonObject o;
-  o["magic"] = std::string(kMagic);
-  o["version"] = kVersion;
-  o["spec"] = spec.to_json();
-  o["spec_fingerprint"] = u64_to_hex(spec_fingerprint(spec));
-  util::JsonObject slice_o;
-  slice_o["k"] = static_cast<std::uint64_t>(slice.k);
-  slice_o["n"] = static_cast<std::uint64_t>(slice.n);
-  o["slice"] = util::Json(std::move(slice_o));
-  o["total_shards"] = static_cast<std::uint64_t>(total_shards);
-  o["has_trace"] = has_trace;
-  o["has_metrics"] = has_metrics;
-  util::JsonArray outs;
-  outs.reserve(outcomes.size());
+// Keys in sorted order, as Json::dump writes objects; the shard golden pins it.
+void ShardFile::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("has_metrics").value(has_metrics);
+  w.key("has_trace").value(has_trace);
+  w.key("magic").value(kMagic);
+  w.key("outcomes").begin_array();
   for (const ShardOutcome& out : outcomes) {
-    util::JsonObject oo;
-    oo["index"] = static_cast<std::uint64_t>(out.index);
-    oo["vantage"] = out.vantage;
-    oo["seed"] = u64_to_hex(out.seed);
-    util::JsonArray records;
-    records.reserve(out.result.records.size());
-    for (const ResultRecord& r : out.result.records) records.push_back(r.to_json());
-    oo["records"] = util::Json(std::move(records));
-    util::JsonArray pings;
-    pings.reserve(out.result.pings.size());
-    for (const PingRecord& p : out.result.pings) pings.push_back(p.to_json());
-    oo["pings"] = util::Json(std::move(pings));
-    if (has_trace) oo["trace"] = out.trace.to_json();
-    if (has_metrics) oo["metrics"] = out.metrics.to_json();
-    outs.emplace_back(std::move(oo));
+    w.begin_object();
+    w.key("index").value(static_cast<std::uint64_t>(out.index));
+    if (has_metrics) w.key("metrics").value(out.metrics.to_json());
+    w.key("pings").begin_array();
+    for (const PingRecord& p : out.result.pings) p.to_json(w);
+    w.end_array();
+    w.key("records").begin_array();
+    for (const ResultRecord& r : out.result.records) r.to_json(w);
+    w.end_array();
+    w.key("seed").value(u64_to_hex(out.seed));
+    if (has_trace) w.key("trace").value(out.trace.to_json());
+    w.key("vantage").value(out.vantage);
+    w.end_object();
   }
-  o["outcomes"] = util::Json(std::move(outs));
-  return util::Json(std::move(o));
+  w.end_array();
+  w.key("slice").begin_object();
+  w.key("k").value(static_cast<std::uint64_t>(slice.k));
+  w.key("n").value(static_cast<std::uint64_t>(slice.n));
+  w.end_object();
+  w.key("spec").value(spec.to_json());
+  w.key("spec_fingerprint").value(u64_to_hex(spec_fingerprint(spec)));
+  w.key("total_shards").value(static_cast<std::uint64_t>(total_shards));
+  w.key("version").value(kVersion);
+  w.end_object();
 }
 
 Result<ShardFile> ShardFile::from_json(const util::Json& j) {
@@ -64,8 +62,9 @@ Result<ShardFile> ShardFile::from_json(const util::Json& j) {
   if (!j.at("magic").is_string() || j.at("magic").as_string() != kMagic) {
     return Err{std::string("shard file: bad magic (expected \"ednsm-shard\")")};
   }
-  if (!j.at("version").is_number() ||
-      static_cast<int>(j.at("version").as_number()) != kVersion) {
+  int version = 0;
+  if (!j.at("version").is_number() || !integer_from_json(j.at("version"), "version", version) ||
+      version != kVersion) {
     return Err{std::string("shard file: unsupported version")};
   }
   ShardFile f;
@@ -86,12 +85,19 @@ Result<ShardFile> ShardFile::from_json(const util::Json& j) {
   if (!slice_j.is_object() || !slice_j.at("k").is_number() || !slice_j.at("n").is_number()) {
     return Err{std::string("shard file: slice must be {k, n}")};
   }
-  f.slice.k = static_cast<std::size_t>(slice_j.at("k").as_number());
-  f.slice.n = static_cast<std::size_t>(slice_j.at("n").as_number());
+  if (auto v = integer_from_json(slice_j.at("k"), "shard file: slice k", f.slice.k); !v) {
+    return Err{v.error()};
+  }
+  if (auto v = integer_from_json(slice_j.at("n"), "shard file: slice n", f.slice.n); !v) {
+    return Err{v.error()};
+  }
   if (!j.at("total_shards").is_number()) {
     return Err{std::string("shard file: missing total_shards")};
   }
-  f.total_shards = static_cast<std::size_t>(j.at("total_shards").as_number());
+  if (auto v = integer_from_json(j.at("total_shards"), "shard file: total_shards", f.total_shards);
+      !v) {
+    return Err{v.error()};
+  }
   if (!j.at("has_trace").is_bool() || !j.at("has_metrics").is_bool()) {
     return Err{std::string("shard file: missing has_trace/has_metrics")};
   }
@@ -106,7 +112,9 @@ Result<ShardFile> ShardFile::from_json(const util::Json& j) {
       return Err{std::string("shard file: malformed outcome entry")};
     }
     ShardOutcome out;
-    out.index = static_cast<std::size_t>(oj.at("index").as_number());
+    if (auto v = integer_from_json(oj.at("index"), "shard file: outcome index", out.index); !v) {
+      return Err{v.error()};
+    }
     out.vantage = oj.at("vantage").as_string();
     auto seed = u64_from_hex(oj.at("seed").as_string());
     if (!seed) return Err{"shard file: bad outcome seed: " + seed.error()};
@@ -172,7 +180,11 @@ Result<void> ShardFile::validate() const {
 }
 
 Result<void> ShardFile::write(const std::string& path) const {
-  return util::write_file_atomic(path, to_json().dump(2) + "\n");
+  util::JsonWriter w(2);
+  to_json(w);
+  std::string bytes = std::move(w).take();
+  bytes.push_back('\n');
+  return util::write_file_atomic(path, bytes);
 }
 
 Result<ShardFile> ShardFile::load(const std::string& path) {

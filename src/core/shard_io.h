@@ -46,14 +46,15 @@ struct ShardFile {
   bool has_metrics = false;
   std::vector<ShardOutcome> outcomes;  // this slice's plans, in index order
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<ShardFile> from_json(const util::Json& j);
 
   // Structural validation against the spec's derived plan list (see header
   // comment). from_json calls this; it is public so tests can probe it.
   [[nodiscard]] Result<void> validate() const;
 
-  // Serialize and write crash-safely (util::write_file_atomic).
+  // Encode (indent 2, trailing newline) and write crash-safely
+  // (util::write_file_atomic).
   [[nodiscard]] Result<void> write(const std::string& path) const;
 
   // Read + parse + validate.

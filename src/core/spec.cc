@@ -23,6 +23,16 @@ Result<std::vector<std::string>> parse_string_array(const util::Json& j, const c
 
 std::string_view protocol_name(client::Protocol p) { return client::to_string(p); }
 
+// Millisecond durations decode like integer fields: a value whose microsecond
+// count overflows SimDuration's int64 is an error, not an undefined cast.
+Result<void> duration_from_json(const util::Json& j, std::string_view what,
+                                netsim::SimDuration& out) {
+  if (!j.is_number()) return {};
+  if (!(std::abs(j.as_number()) < 9e15)) return Err{std::string(what) + " is out of range"};
+  out = netsim::from_ms(j.as_number());
+  return {};
+}
+
 Result<client::Protocol> parse_protocol(const std::string& s) {
   if (auto p = client::protocol_from_string(s); p.has_value()) return *p;
   return Err{std::string("spec: unknown protocol '") + s + "'"};
@@ -46,8 +56,13 @@ Result<FaultWindow> FaultWindow::from_json(const util::Json& j) {
     return Err{std::string("fault window: missing required fields")};
   }
   w.resolver = j.at("resolver").as_string();
-  w.from_round = static_cast<int>(j.at("from_round").as_number());
-  w.to_round = static_cast<int>(j.at("to_round").as_number());
+  if (auto v = integer_from_json(j.at("from_round"), "fault window: from_round", w.from_round);
+      !v) {
+    return Err{v.error()};
+  }
+  if (auto v = integer_from_json(j.at("to_round"), "fault window: to_round", w.to_round); !v) {
+    return Err{v.error()};
+  }
   return w;
 }
 
@@ -117,24 +132,36 @@ Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
   if (!proto) return Err{proto.error()};
   spec.protocol = proto.value();
 
-  if (j.at("rounds").is_number()) spec.rounds = static_cast<int>(j.at("rounds").as_number());
+  if (auto v = integer_from_json(j.at("rounds"), "spec: rounds", spec.rounds); !v) {
+    return Err{v.error()};
+  }
   if (j.at("round_interval_s").is_number()) {
-    spec.round_interval =
-        std::chrono::seconds(static_cast<std::int64_t>(j.at("round_interval_s").as_number()));
+    std::int64_t seconds = 0;
+    if (auto v = integer_from_json(j.at("round_interval_s"), "spec: round_interval_s", seconds);
+        !v) {
+      return Err{v.error()};
+    }
+    spec.round_interval = std::chrono::seconds(seconds);
   }
-  if (j.at("ping_timeout_ms").is_number()) {
-    spec.ping_timeout = netsim::from_ms(j.at("ping_timeout_ms").as_number());
+  if (auto v = duration_from_json(j.at("ping_timeout_ms"), "spec: ping_timeout_ms",
+                                  spec.ping_timeout);
+      !v) {
+    return Err{v.error()};
   }
-  if (j.at("timeout_ms").is_number()) {
-    spec.query_options.timeout = netsim::from_ms(j.at("timeout_ms").as_number());
+  if (auto v = duration_from_json(j.at("timeout_ms"), "spec: timeout_ms",
+                                  spec.query_options.timeout);
+      !v) {
+    return Err{v.error()};
   }
   if (j.at("use_post").is_bool()) spec.query_options.use_post = j.at("use_post").as_bool();
   if (j.at("use_http2").is_bool()) spec.query_options.use_http2 = j.at("use_http2").as_bool();
   if (j.at("early_data").is_bool()) {
     spec.query_options.offer_early_data = j.at("early_data").as_bool();
   }
-  if (j.at("pad_block").is_number()) {
-    spec.query_options.pad_block = static_cast<std::size_t>(j.at("pad_block").as_number());
+  if (auto v = integer_from_json(j.at("pad_block"), "spec: pad_block",
+                                 spec.query_options.pad_block);
+      !v) {
+    return Err{v.error()};
   }
   if (j.at("reuse").is_string()) {
     const std::string& r = j.at("reuse").as_string();
@@ -144,7 +171,7 @@ Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
       return Err{std::string("spec: unknown reuse policy '") + r + "'"};
     }
   }
-  if (j.at("seed").is_number()) spec.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
+  if (auto v = integer_from_json(j.at("seed"), "spec: seed", spec.seed); !v) return Err{v.error()};
   if (j.at("fault_windows").is_array()) {
     for (const util::Json& e : j.at("fault_windows").as_array()) {
       auto w = FaultWindow::from_json(e);
@@ -169,32 +196,35 @@ std::string_view derive_failure_stage(std::string_view error_class) noexcept {
   return {};
 }
 
-util::Json ResultRecord::to_json() const {
-  util::JsonObject o;
-  o["vantage"] = vantage;
-  o["resolver"] = resolver;
-  o["domain"] = domain;
-  o["protocol"] = std::string(protocol_name(protocol));
-  o["round"] = round;
-  o["issued_at_ms"] = issued_at_ms;
-  o["ok"] = ok;
-  o["response_ms"] = response_ms;
-  o["connect_ms"] = connect_ms;
-  if (tcp_handshake_ms != 0) o["tcp_handshake_ms"] = tcp_handshake_ms;
-  if (tls_handshake_ms != 0) o["tls_handshake_ms"] = tls_handshake_ms;
-  if (quic_handshake_ms != 0) o["quic_handshake_ms"] = quic_handshake_ms;
-  if (pool_wait_ms != 0) o["pool_wait_ms"] = pool_wait_ms;
-  if (exchange_ms != 0) o["exchange_ms"] = exchange_ms;
-  o["reused"] = connection_reused;
-  if (ok) o["rcode"] = rcode;
+// Keys are written in sorted order, the order Json::dump gives every object;
+// the canonical-form tests and the results golden pin it (see DESIGN.md,
+// "ResultRecord JSON schema"). PingRecord below follows the same rule.
+void ResultRecord::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("answers").value(answer_count);
+  w.key("connect_ms").value(connect_ms);
+  w.key("domain").value(domain);
   if (!ok) {
-    o["error_class"] = error_class;
-    o["error_detail"] = error_detail;
-    if (!failure_stage.empty()) o["failure_stage"] = failure_stage;
+    w.key("error_class").value(error_class);
+    w.key("error_detail").value(error_detail);
   }
-  if (http_status != 0) o["http_status"] = http_status;
-  o["answers"] = answer_count;
-  return util::Json(std::move(o));
+  if (exchange_ms != 0) w.key("exchange_ms").value(exchange_ms);
+  if (!ok && !failure_stage.empty()) w.key("failure_stage").value(failure_stage);
+  if (http_status != 0) w.key("http_status").value(http_status);
+  w.key("issued_at_ms").value(issued_at_ms);
+  w.key("ok").value(ok);
+  if (pool_wait_ms != 0) w.key("pool_wait_ms").value(pool_wait_ms);
+  w.key("protocol").value(protocol_name(protocol));
+  if (quic_handshake_ms != 0) w.key("quic_handshake_ms").value(quic_handshake_ms);
+  if (ok) w.key("rcode").value(rcode);
+  w.key("resolver").value(resolver);
+  w.key("response_ms").value(response_ms);
+  w.key("reused").value(connection_reused);
+  w.key("round").value(round);
+  if (tcp_handshake_ms != 0) w.key("tcp_handshake_ms").value(tcp_handshake_ms);
+  if (tls_handshake_ms != 0) w.key("tls_handshake_ms").value(tls_handshake_ms);
+  w.key("vantage").value(vantage);
+  w.end_object();
 }
 
 Result<ResultRecord> ResultRecord::from_json(const util::Json& j) {
@@ -213,7 +243,9 @@ Result<ResultRecord> ResultRecord::from_json(const util::Json& j) {
     r.protocol = p.value();
   }
   r.ok = j.at("ok").as_bool();
-  if (j.at("round").is_number()) r.round = static_cast<int>(j.at("round").as_number());
+  if (auto v = integer_from_json(j.at("round"), "record: round", r.round); !v) {
+    return Err{v.error()};
+  }
   if (j.at("issued_at_ms").is_number()) r.issued_at_ms = j.at("issued_at_ms").as_number();
   if (j.at("response_ms").is_number()) r.response_ms = j.at("response_ms").as_number();
   if (j.at("connect_ms").is_number()) r.connect_ms = j.at("connect_ms").as_number();
@@ -238,21 +270,23 @@ Result<ResultRecord> ResultRecord::from_json(const util::Json& j) {
     // Files written before the field existed: reconstruct from error_class.
     r.failure_stage = std::string(derive_failure_stage(r.error_class));
   }
-  if (j.at("http_status").is_number()) {
-    r.http_status = static_cast<int>(j.at("http_status").as_number());
+  if (auto v = integer_from_json(j.at("http_status"), "record: http_status", r.http_status); !v) {
+    return Err{v.error()};
   }
-  if (j.at("answers").is_number()) r.answer_count = static_cast<int>(j.at("answers").as_number());
+  if (auto v = integer_from_json(j.at("answers"), "record: answers", r.answer_count); !v) {
+    return Err{v.error()};
+  }
   return r;
 }
 
-util::Json PingRecord::to_json() const {
-  util::JsonObject o;
-  o["vantage"] = vantage;
-  o["resolver"] = resolver;
-  o["round"] = round;
-  o["ok"] = ok;
-  if (ok) o["rtt_ms"] = rtt_ms;
-  return util::Json(std::move(o));
+void PingRecord::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("ok").value(ok);
+  w.key("resolver").value(resolver);
+  w.key("round").value(round);
+  if (ok) w.key("rtt_ms").value(rtt_ms);
+  w.key("vantage").value(vantage);
+  w.end_object();
 }
 
 Result<PingRecord> PingRecord::from_json(const util::Json& j) {
@@ -264,7 +298,9 @@ Result<PingRecord> PingRecord::from_json(const util::Json& j) {
   p.vantage = j.at("vantage").as_string();
   p.resolver = j.at("resolver").as_string();
   p.ok = j.at("ok").as_bool();
-  if (j.at("round").is_number()) p.round = static_cast<int>(j.at("round").as_number());
+  if (auto v = integer_from_json(j.at("round"), "ping: round", p.round); !v) {
+    return Err{v.error()};
+  }
   if (j.at("rtt_ms").is_number()) p.rtt_ms = j.at("rtt_ms").as_number();
   return p;
 }

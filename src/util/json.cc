@@ -1,86 +1,15 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <iterator>
+#include <ostream>
 
 namespace ednsm::util {
 
 namespace {
 
 const Json kNull{};
-
-void dump_impl(const Json& j, std::string& out, int indent, int depth);
-
-void append_indent(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out.push_back('\n');
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-void dump_number(double d, std::string& out) {
-  if (std::isnan(d) || std::isinf(d)) {
-    out.append("null");  // JSON has no NaN/Inf; null is the least-wrong choice
-    return;
-  }
-  // Integers print without a decimal point; everything else round-trips.
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    out.append(buf);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out.append(buf);
-}
-
-void dump_impl(const Json& j, std::string& out, int indent, int depth) {
-  if (j.is_null()) {
-    out.append("null");
-  } else if (j.is_bool()) {
-    out.append(j.as_bool() ? "true" : "false");
-  } else if (j.is_number()) {
-    dump_number(j.as_number(), out);
-  } else if (j.is_string()) {
-    out.push_back('"');
-    out.append(json_escape(j.as_string()));
-    out.push_back('"');
-  } else if (j.is_array()) {
-    const JsonArray& arr = j.as_array();
-    if (arr.empty()) {
-      out.append("[]");
-      return;
-    }
-    out.push_back('[');
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      append_indent(out, indent, depth + 1);
-      dump_impl(arr[i], out, indent, depth + 1);
-    }
-    append_indent(out, indent, depth);
-    out.push_back(']');
-  } else {
-    const JsonObject& obj = j.as_object();
-    if (obj.empty()) {
-      out.append("{}");
-      return;
-    }
-    out.push_back('{');
-    bool first = true;
-    for (const auto& [k, v] : obj) {
-      if (!first) out.push_back(',');
-      first = false;
-      append_indent(out, indent, depth + 1);
-      out.push_back('"');
-      out.append(json_escape(k));
-      out.append(indent > 0 ? "\": " : "\":");
-      dump_impl(v, out, indent, depth + 1);
-    }
-    append_indent(out, indent, depth);
-    out.push_back('}');
-  }
-}
 
 // ---- parser -----------------------------------------------------------------
 
@@ -258,9 +187,9 @@ const Json& Json::at(const std::string& key) const {
 }
 
 std::string Json::dump(int indent) const {
-  std::string out;
-  dump_impl(*this, out, indent, 0);
-  return out;
+  JsonWriter w(indent);
+  w.value(*this);
+  return std::move(w).take();
 }
 
 Result<Json> Json::parse(std::string_view text) {
@@ -272,29 +201,140 @@ Result<Json> Json::parse(std::string_view text) {
   return v;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+// ---- writer -----------------------------------------------------------------
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ <= 0) return;
+  out_.push_back('\n');
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::prefix() {
+  if (os_ != nullptr && out_.size() >= kFlushBytes) flush();
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (empty_.empty()) return;  // top-level value
+  if (!empty_.back()) out_.push_back(',');
+  empty_.back() = false;
+  newline(empty_.size());
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  prefix();
+  out_.push_back('{');
+  empty_.push_back(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  prefix();
+  out_.push_back('[');
+  empty_.push_back(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char c) {
+  const bool was_empty = empty_.back();
+  empty_.pop_back();
+  if (!was_empty) newline(empty_.size());
+  out_.push_back(c);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() { return close('}'); }
+JsonWriter& JsonWriter::end_array() { return close(']'); }
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  prefix();
+  write_string(k);
+  out_.append(indent_ > 0 ? ": " : ":");
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  prefix();
+  write_string(s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  prefix();
+  if (std::isnan(d) || std::isinf(d)) {
+    out_.append("null");  // JSON has no NaN/Inf; null is the least-wrong choice
+    return *this;
+  }
+  // Integers print without a decimal point; everything else round-trips.
+  // to_chars with a precision is specified as printf "%.0f" / "%.17g".
+  char buf[32];
+  const bool integral = d == std::floor(d) && std::abs(d) < 1e15;
+  const auto res = integral ? std::to_chars(buf, std::end(buf), d, std::chars_format::fixed, 0)
+                            : std::to_chars(buf, std::end(buf), d, std::chars_format::general, 17);
+  out_.append(buf, res.ptr);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  prefix();
+  out_.append(b ? "true" : "false");
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::nullptr_t) {
+  prefix();
+  out_.append("null");
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const Json& j) {
+  if (j.is_null()) return value(nullptr);
+  if (j.is_bool()) return value(j.as_bool());
+  if (j.is_number()) return value(j.as_number());
+  if (j.is_string()) return value(std::string_view(j.as_string()));
+  if (j.is_array()) {
+    begin_array();
+    for (const Json& e : j.as_array()) value(e);
+    return end_array();
+  }
+  begin_object();
+  for (const auto& [k, v] : j.as_object()) key(k).value(v);
+  return end_object();
+}
+
+void JsonWriter::write_string(std::string_view s) {
+  out_.push_back('"');
+  // Copy runs of plain characters in one append; escape the rest in place.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(c);
-        }
+      case '"': out_.append("\\\""); break;
+      case '\\': out_.append("\\\\"); break;
+      case '\b': out_.append("\\b"); break;
+      case '\f': out_.append("\\f"); break;
+      case '\n': out_.append("\\n"); break;
+      case '\r': out_.append("\\r"); break;
+      case '\t': out_.append("\\t"); break;
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out_.append(esc, sizeof esc);
+      }
     }
   }
-  return out;
+  out_.append(s.data() + run, s.size() - run);
+  out_.push_back('"');
+}
+
+void JsonWriter::flush() {
+  if (os_ == nullptr) return;
+  os_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
 }
 
 }  // namespace ednsm::util

@@ -1,16 +1,22 @@
-// Minimal JSON document model, writer, and parser.
+// Minimal JSON document model, streaming writer, and parser.
 //
 // The paper's tool "writes the results to a JSON file"; this is that layer,
 // implemented from scratch (no third-party dependencies are available in the
 // build environment). Supports the full JSON grammar except for \u escapes
 // beyond the BMP-ASCII range (emitted as-is; parsed literally), which the
 // result schema never produces.
+//
+// JsonWriter is the one emitter: the results and shard files stream through
+// it record by record with no document in between, and Json::dump walks a
+// document into the same writer, so every JSON file shares one byte format.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -71,7 +77,71 @@ class Json {
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
 
-// Escape a string per JSON rules (quotes not included).
-[[nodiscard]] std::string json_escape(std::string_view s);
+// Streaming JSON emitter. Callers open and close containers, write keys and
+// values in order, and the writer places separators and (for indent > 0)
+// newlines and indentation:
+//
+//   JsonWriter w(os, 2);
+//   w.begin_object();
+//   w.key("n").value(3);
+//   w.key("tags").begin_array().value("doh").end_array();
+//   w.end_object();
+//   w.flush();
+//
+// Keys are written in call order; encoders that must match a sorted-map
+// document emit them sorted. Numbers: NaN/Inf become null, integral values
+// with |d| < 1e15 print without a decimal point (printf "%.0f"), anything else
+// round-trips ("%.17g"); integer overloads convert to double first, exactly
+// like the Json constructors. Output accumulates in a buffer the writer owns;
+// a writer wrapping a stream hands that buffer to it each time it passes
+// kFlushBytes, so a large file is never held whole in memory.
+class JsonWriter {
+ public:
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
+  // Writes into the owned buffer only; take() returns it.
+  explicit JsonWriter(int indent = 0) : indent_(indent) {}
+  // Writes through to `os` (call flush() when done).
+  JsonWriter(std::ostream& os, int indent) : os_(&os), indent_(indent) {}
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& value(std::string_view s);
+  // Without these, a literal would convert to bool and a std::string would
+  // be ambiguous between string_view and Json.
+  JsonWriter& value(const std::string& s) { return value(std::string_view(s)); }
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(double d);
+  JsonWriter& value(int i) { return value(static_cast<double>(i)); }
+  JsonWriter& value(std::int64_t i) { return value(static_cast<double>(i)); }
+  JsonWriter& value(std::uint64_t u) { return value(static_cast<double>(u)); }
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::nullptr_t);
+  // Splices a document subtree at the current position and depth.
+  JsonWriter& value(const Json& j);
+
+  // Hands the buffered bytes to the stream (no-op without one).
+  void flush();
+  // The buffered bytes (everything, when there is no stream).
+  [[nodiscard]] std::string take() && { return std::move(out_); }
+
+ private:
+  // Separator and indentation before a key or a value; flushes a full buffer.
+  void prefix();
+  void newline(std::size_t depth);
+  void write_string(std::string_view s);
+  JsonWriter& close(char c);
+
+  std::ostream* os_ = nullptr;
+  int indent_ = 0;
+  std::string out_;
+  // One entry per open container: true until its first element is written.
+  std::vector<bool> empty_;
+  bool after_key_ = false;
+};
 
 }  // namespace ednsm::util

@@ -5,6 +5,7 @@
 #include "core/parallel_campaign.h"
 #include "core/scheduler.h"
 #include "core/world.h"
+#include "resolver/registry.h"
 
 namespace ednsm::core {
 namespace {
@@ -138,6 +139,85 @@ TEST(Campaign, JsonRoundTrip) {
             result.availability.overall().successes);
   EXPECT_EQ(round.value().availability.overall().errors,
             result.availability.overall().errors);
+}
+
+// The encoder writes keys by hand; re-dumping the parsed file (whose objects
+// are sorted maps) must reproduce it byte for byte, which pins the key order
+// to sorted order and the layout to Json::dump's.
+void expect_canonical(const CampaignResult& result) {
+  std::ostringstream os;
+  result.write_json(os);
+  const std::string bytes = os.str();
+  const auto parsed = util::Json::parse(bytes);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error();
+  EXPECT_TRUE(parsed.value().dump(2) + "\n" == bytes);
+}
+
+TEST(Campaign, JsonIsCanonicalForFig2SizedResult) {
+  MeasurementSpec spec;
+  for (const auto& r : resolver::paper_resolver_list()) spec.resolvers.push_back(r.hostname);
+  spec.vantage_ids = {"home-chicago-1", "ec2-ohio", "ec2-frankfurt", "ec2-seoul"};
+  spec.rounds = 30;
+  spec.seed = 20250704;
+  const CampaignResult result = run_parallel_campaign(spec, 4);
+  ASSERT_EQ(result.records.size(), spec.resolvers.size() * 4u * 30u * 3u);
+  expect_canonical(result);
+}
+
+// Hand-built records that, between them, set every optional field in both
+// an ok and a failed record.
+TEST(Campaign, JsonIsCanonicalWithEveryOptionalField) {
+  CampaignResult result;
+  result.spec = tiny_spec();
+  result.spec.fault_windows.push_back({"dns.google", 1, 3});
+  ResultRecord ok;
+  ok.vantage = "ec2-ohio";
+  ok.resolver = "dns.google";
+  ok.domain = "google.com";
+  ok.protocol = client::Protocol::DoQ;
+  ok.round = 2;
+  ok.issued_at_ms = 28800000.25;
+  ok.ok = true;
+  ok.response_ms = 84.125;
+  ok.connect_ms = 41.5;
+  ok.tcp_handshake_ms = 20.25;
+  ok.tls_handshake_ms = 19.75;
+  ok.quic_handshake_ms = 0.5;
+  ok.pool_wait_ms = 1.0 / 3.0;
+  ok.exchange_ms = 42.75;
+  ok.connection_reused = true;
+  ok.rcode = "NOERROR";
+  ok.http_status = 200;
+  ok.answer_count = 2;
+  ResultRecord failed = ok;
+  failed.ok = false;
+  failed.connection_reused = false;
+  failed.rcode.clear();
+  failed.error_class = "http-error";
+  failed.error_detail = "status 503 \"unavailable\"\n";
+  failed.failure_stage = "query";
+  failed.http_status = 503;
+  failed.answer_count = 0;
+  result.records = {ok, failed, ResultRecord{}};
+  PingRecord ping{"ec2-ohio", "dns.google", 1, true, 12.5};
+  PingRecord lost{"ec2-ohio", "dns.google", 2, false, 0};
+  result.pings = {ping, lost};
+  expect_canonical(result);
+
+  // Every optional key is present in the ok or the failed record.
+  std::ostringstream os;
+  result.write_json(os);
+  const util::Json doc = util::Json::parse(os.str()).value();
+  const util::JsonArray& recs = doc.at("records").as_array();
+  for (const char* key : {"tcp_handshake_ms", "tls_handshake_ms", "quic_handshake_ms",
+                          "pool_wait_ms", "exchange_ms", "http_status"}) {
+    EXPECT_TRUE(recs[0].at(key).is_number()) << key;
+    EXPECT_TRUE(recs[1].at(key).is_number()) << key;
+  }
+  EXPECT_TRUE(recs[0].at("rcode").is_string());
+  EXPECT_TRUE(recs[1].at("failure_stage").is_string());
+  EXPECT_TRUE(recs[1].at("error_class").is_string());
+  EXPECT_TRUE(recs[1].at("error_detail").is_string());
 }
 
 TEST(Campaign, MultiVantageRecordsAllVantages) {

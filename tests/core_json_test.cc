@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <sstream>
 
 #include "util/json.h"
 
@@ -22,8 +25,8 @@ TEST(Json, NanBecomesNull) {
 }
 
 TEST(Json, EscapeSpecials) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(Json("a\"b\\c\nd\te").dump(), "\"a\\\"b\\\\c\\nd\\te\"");
+  EXPECT_EQ(Json(std::string(1, '\x01')).dump(), "\"\\u0001\"");
 }
 
 TEST(Json, ArrayAndObjectDump) {
@@ -169,6 +172,186 @@ TEST(Json, TypePredicates) {
 
 TEST(Json, AtOnNonObjectReturnsNull) {
   EXPECT_TRUE(Json(5).at("k").is_null());
+}
+
+// ---- JsonWriter --------------------------------------------------------------
+
+// The number format Json has always used, spelled with printf: NaN/Inf are
+// null, integral values below 1e15 print as "%.0f", everything else "%.17g".
+std::string printf_reference(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  char buf[64];
+  const bool integral = d == std::floor(d) && std::abs(d) < 1e15;
+  std::snprintf(buf, sizeof buf, integral ? "%.0f" : "%.17g", d);
+  return buf;
+}
+
+TEST(JsonWriter, NumbersMatchPrintfReference) {
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0,
+                           -42.0,
+                           1e15 - 1,
+                           1e15,
+                           -1e15,
+                           0.1,
+                           1.0 / 3.0,
+                           5e-324,
+                           2.2250738585072014e-308,
+                           1e300,
+                           -1e300,
+                           123456789.123456,
+                           std::numeric_limits<double>::max(),
+                           std::nan(""),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  for (const double d : values) {
+    JsonWriter w;
+    w.value(d);
+    EXPECT_EQ(std::move(w).take(), printf_reference(d)) << d;
+  }
+  EXPECT_EQ(printf_reference(-0.0), "-0");
+  EXPECT_EQ(printf_reference(1e15), "1000000000000000");
+  EXPECT_EQ(printf_reference(std::nan("")), "null");
+}
+
+// Integer overloads convert to double first, like the Json constructors, so
+// a uint64 above 2^53 prints as its nearest double.
+TEST(JsonWriter, IntegersConvertLikeJsonConstructors) {
+  const std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+  const std::int64_t negative = -(std::int64_t{1} << 60) - 1;
+  JsonWriter w;
+  w.begin_array().value(7).value(big).value(negative).value(std::uint64_t{1} << 63).end_array();
+  const Json dom(JsonArray{Json(7), Json(big), Json(negative), Json(std::uint64_t{1} << 63)});
+  const std::string bytes = std::move(w).take();
+  EXPECT_EQ(bytes, dom.dump());
+  EXPECT_EQ(bytes, "[7,9007199254740992," + printf_reference(static_cast<double>(negative)) + "," +
+                       printf_reference(static_cast<double>(std::uint64_t{1} << 63)) + "]");
+}
+
+TEST(JsonWriter, ControlCharactersEscapeAsU00XX) {
+  std::string raw;
+  std::string expected = "\"";
+  for (int c = 0; c < 0x20; ++c) {
+    raw.push_back(static_cast<char>(c));
+    switch (c) {
+      case '\b': expected += "\\b"; break;
+      case '\f': expected += "\\f"; break;
+      case '\n': expected += "\\n"; break;
+      case '\r': expected += "\\r"; break;
+      case '\t': expected += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        expected += buf;
+      }
+    }
+  }
+  raw += "\"\\ plain \x7f \xc3\xa9";  // quote, backslash, DEL and UTF-8 pass through
+  expected += "\\\"\\\\ plain \x7f \xc3\xa9\"";
+  JsonWriter w;
+  w.value(raw);
+  EXPECT_EQ(std::move(w).take(), expected);
+  EXPECT_EQ(Json(raw).dump(), expected);
+  // Keys are escaped the same way.
+  JsonWriter k;
+  k.begin_object().key("a\x1f").value(nullptr).end_object();
+  EXPECT_EQ(std::move(k).take(), "{\"a\\u001f\":null}");
+}
+
+TEST(JsonWriter, CompactAndPrettyLayout) {
+  auto write = [](int indent) {
+    JsonWriter w(indent);
+    w.begin_object();
+    w.key("a").value(1);
+    w.key("b").begin_array().value("x").value(true).value(nullptr).end_array();
+    w.key("c").begin_object().key("d").value(2.5).end_object();
+    w.end_object();
+    return std::move(w).take();
+  };
+  EXPECT_EQ(write(0), R"({"a":1,"b":["x",true,null],"c":{"d":2.5}})");
+  EXPECT_EQ(write(2),
+            "{\n"
+            "  \"a\": 1,\n"
+            "  \"b\": [\n"
+            "    \"x\",\n"
+            "    true,\n"
+            "    null\n"
+            "  ],\n"
+            "  \"c\": {\n"
+            "    \"d\": 2.5\n"
+            "  }\n"
+            "}");
+  // Same bytes as dumping the equivalent document.
+  const Json dom = Json::parse(write(0)).value();
+  EXPECT_EQ(write(0), dom.dump(0));
+  EXPECT_EQ(write(2), dom.dump(2));
+}
+
+TEST(JsonWriter, EmptyContainers) {
+  for (const int indent : {0, 2}) {
+    JsonWriter obj(indent);
+    obj.begin_object().end_object();
+    EXPECT_EQ(std::move(obj).take(), "{}");
+    JsonWriter arr(indent);
+    arr.begin_array().end_array();
+    EXPECT_EQ(std::move(arr).take(), "[]");
+  }
+  JsonWriter nested(2);
+  nested.begin_object();
+  nested.key("a").begin_array().end_array();
+  nested.key("b").begin_object().end_object();
+  nested.key("c").begin_array().begin_array().end_array().end_array();
+  nested.end_object();
+  EXPECT_EQ(std::move(nested).take(),
+            "{\n  \"a\": [],\n  \"b\": {},\n  \"c\": [\n    []\n  ]\n}");
+}
+
+// A spliced document subtree lands at the writer's depth with the writer's
+// indentation, byte-identical to dumping one document that contains it.
+TEST(JsonWriter, SplicesDomAtDepth) {
+  JsonObject inner;
+  inner["list"] = Json(JsonArray{Json(1), Json(JsonObject{}), Json("s")});
+  inner["empty"] = Json(JsonArray{});
+  const Json subtree(std::move(inner));
+
+  JsonObject outer;
+  outer["items"] = Json(JsonArray{Json(0), subtree});
+  outer["z"] = Json(false);
+  const Json whole(std::move(outer));
+
+  for (const int indent : {0, 2, 4}) {
+    JsonWriter w(indent);
+    w.begin_object();
+    w.key("items").begin_array().value(0).value(subtree).end_array();
+    w.key("z").value(false);
+    w.end_object();
+    EXPECT_EQ(std::move(w).take(), whole.dump(indent)) << "indent " << indent;
+  }
+}
+
+// A writer on a stream hands its buffer over once it passes kFlushBytes, so
+// bytes reach the stream before the document ends, and the concatenation is
+// exactly what a buffer-only writer produces.
+TEST(JsonWriter, StreamReceivesBytesPastFlushThreshold) {
+  const std::string chunk(1000, 'x');
+  std::ostringstream os;
+  JsonWriter streamed(os, 2);
+  JsonWriter buffered(2);
+  streamed.begin_array();
+  buffered.begin_array();
+  std::size_t written_before_end = 0;
+  for (int i = 0; i < 200; ++i) {
+    streamed.value(chunk);
+    buffered.value(chunk);
+    written_before_end = os.str().size();
+  }
+  streamed.end_array();
+  buffered.end_array();
+  EXPECT_GE(written_before_end, JsonWriter::kFlushBytes);
+  EXPECT_LT(written_before_end, 200 * chunk.size());
+  streamed.flush();
+  EXPECT_EQ(os.str(), std::move(buffered).take());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/spec.h"
+#include "encode_util.h"
 
 namespace ednsm::core {
 namespace {
@@ -109,7 +110,7 @@ TEST(ResultRecord, JsonRoundTripOk) {
   r.http_status = 200;
   r.answer_count = 2;
 
-  auto round = ResultRecord::from_json(r.to_json());
+  auto round = ResultRecord::from_json(test::as_dom(r));
   ASSERT_TRUE(round.has_value()) << round.error();
   EXPECT_EQ(round.value().vantage, r.vantage);
   EXPECT_EQ(round.value().resolver, r.resolver);
@@ -130,7 +131,7 @@ TEST(ResultRecord, JsonRoundTripError) {
   r.error_class = "connect-timeout";
   r.error_detail = "tcp: connection timed out";
 
-  auto round = ResultRecord::from_json(r.to_json());
+  auto round = ResultRecord::from_json(test::as_dom(r));
   ASSERT_TRUE(round.has_value());
   EXPECT_FALSE(round.value().ok);
   EXPECT_EQ(round.value().error_class, "connect-timeout");
@@ -152,7 +153,7 @@ TEST(PingRecord, JsonRoundTrip) {
   p.round = 2;
   p.ok = true;
   p.rtt_ms = 8.5;
-  auto round = PingRecord::from_json(p.to_json());
+  auto round = PingRecord::from_json(test::as_dom(p));
   ASSERT_TRUE(round.has_value());
   EXPECT_EQ(round.value().vantage, p.vantage);
   EXPECT_DOUBLE_EQ(round.value().rtt_ms, p.rtt_ms);
@@ -161,9 +162,70 @@ TEST(PingRecord, JsonRoundTrip) {
   fail.vantage = "v";
   fail.resolver = "r";
   fail.ok = false;
-  auto round2 = PingRecord::from_json(fail.to_json());
+  auto round2 = PingRecord::from_json(test::as_dom(fail));
   ASSERT_TRUE(round2.has_value());
   EXPECT_FALSE(round2.value().ok);
+}
+
+// Integer fields reject numbers a cast cannot hold: a bare static_cast of
+// 1e300 to int is undefined behaviour.
+TEST(ResultRecord, FromJsonRejectsHostileNumbers) {
+  ResultRecord r;
+  r.vantage = "ec2-ohio";
+  r.resolver = "dns.google";
+  r.domain = "google.com";
+  r.ok = true;
+  r.rcode = "NOERROR";
+  const util::Json good = test::as_dom(r);
+  for (const char* field : {"round", "answers", "http_status"}) {
+    for (const double bad : {1e300, -1e20, 2147483648.0, -2147483649.0, 0.5}) {
+      util::Json j = good;
+      j.as_object()[field] = util::Json(bad);
+      const auto parsed = ResultRecord::from_json(j);
+      ASSERT_FALSE(parsed.has_value()) << field << " = " << bad;
+      EXPECT_NE(parsed.error().find(field), std::string::npos) << parsed.error();
+    }
+  }
+  // The int range itself is accepted, ends included.
+  util::Json j = good;
+  j.as_object()["round"] = util::Json(2147483647.0);
+  j.as_object()["answers"] = util::Json(-2147483648.0);
+  const auto edges = ResultRecord::from_json(j);
+  ASSERT_TRUE(edges.has_value()) << edges.error();
+  EXPECT_EQ(edges.value().round, 2147483647);
+  EXPECT_EQ(edges.value().answer_count, -2147483647 - 1);
+}
+
+TEST(PingRecord, FromJsonRejectsHostileNumbers) {
+  PingRecord p;
+  p.vantage = "v";
+  p.resolver = "r";
+  util::Json j = test::as_dom(p);
+  j.as_object()["round"] = util::Json(1e300);
+  EXPECT_FALSE(PingRecord::from_json(j).has_value());
+}
+
+TEST(Spec, FromJsonRejectsHostileNumbers) {
+  MeasurementSpec spec = small_spec();
+  spec.fault_windows.push_back({"dns.google", 0, 2});
+  ASSERT_TRUE(MeasurementSpec::from_json(spec.to_json()).has_value());
+  const std::pair<const char*, double> cases[] = {
+      {"rounds", 1e300},           {"rounds", 2.5},         {"round_interval_s", 1e300},
+      {"round_interval_s", -1e19}, {"pad_block", -1.0},     {"pad_block", 1e30},
+      {"seed", -1.0},              {"seed", 1.8446744073709552e19},
+      {"timeout_ms", 1e300},       {"ping_timeout_ms", -1e300}};
+  for (const auto& [field, bad] : cases) {
+    util::Json j = spec.to_json();
+    j.as_object()[field] = util::Json(bad);
+    const auto parsed = MeasurementSpec::from_json(j);
+    ASSERT_FALSE(parsed.has_value()) << field << " = " << bad;
+    EXPECT_NE(parsed.error().find(field), std::string::npos) << parsed.error();
+  }
+  for (const char* field : {"from_round", "to_round"}) {
+    util::Json j = spec.to_json();
+    j.as_object()["fault_windows"].as_array()[0].as_object()[field] = util::Json(1e10);
+    EXPECT_FALSE(MeasurementSpec::from_json(j).has_value()) << field;
+  }
 }
 
 }  // namespace

@@ -401,4 +401,49 @@ void write_extras(int& sink, const Blob& b) { sink += b.via_helper; }
   EXPECT_TRUE(diags.empty()) << dump(diags);
 }
 
+// Streaming encoders (`void to_json(util::JsonWriter&) const`) are still
+// codecs: a field the writer leaves out is flagged, one it writes is not.
+TEST(LintTreeArch, CodecParityCoversStreamingWriter) {
+  const std::string source = R"cc(
+namespace ednsm::core {
+
+struct Sample {
+  std::string name;
+  int count = 0;
+  double latency_ms = 0;
+
+  void to_json(util::JsonWriter& w) const;
+  static Result<Sample> from_json(const util::Json& j);
+};
+
+void Sample::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("count").value(count);
+  w.key("latency_ms").value(latency_ms);
+  w.key("name").value(name);
+  w.end_object();
+}
+
+Result<Sample> Sample::from_json(const util::Json& j) {
+  Sample s;
+  s.name = j.at("name").as_string();
+  s.count = static_cast<int>(j.at("count").as_number());
+  s.latency_ms = j.at("latency_ms").as_number();
+  return s;
+}
+
+}  // namespace ednsm::core
+)cc";
+  EXPECT_TRUE(ednsm::lint::run_lint({SourceFile{"src/core/sample_codec.cc", source}}).empty());
+
+  std::string dropped = source;
+  const std::string line = "w.key(\"latency_ms\").value(latency_ms);";
+  dropped.erase(dropped.find(line), line.size());
+  const auto diags = ednsm::lint::run_lint({SourceFile{"src/core/sample_codec.cc", dropped}});
+  ASSERT_EQ(diags.size(), 1u) << dump(diags);
+  EXPECT_EQ(diags[0].rule, "codec-parity");
+  EXPECT_NE(diags[0].message.find("'latency_ms'"), std::string::npos) << diags[0].message;
+  EXPECT_NE(diags[0].message.find("to_json"), std::string::npos) << diags[0].message;
+}
+
 }  // namespace

@@ -303,9 +303,10 @@ TEST(LintTree, RemovingCodecWriterFieldFails) {
   bool mutated = false;
   for (SourceFile& f : files) {
     if (!f.path.ends_with("core/spec.cc")) continue;
-    const std::size_t pos = f.content.find("o[\"connect_ms\"] = connect_ms;");
+    const std::string line = "w.key(\"connect_ms\").value(connect_ms);";
+    const std::size_t pos = f.content.find(line);
     ASSERT_NE(pos, std::string::npos) << "writer line not found in core/spec.cc";
-    f.content.erase(pos, std::string("o[\"connect_ms\"] = connect_ms;").size());
+    f.content.erase(pos, line.size());
     mutated = true;
   }
   ASSERT_TRUE(mutated);

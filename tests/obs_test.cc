@@ -8,6 +8,7 @@
 #include <chrono>
 
 #include "core/campaign.h"
+#include "encode_util.h"
 #include "util/json.h"
 #include "core/parallel_campaign.h"
 #include "obs/attribution.h"
@@ -250,7 +251,7 @@ TEST(CampaignTrace, MergedTraceByteIdenticalAcrossThreadCounts) {
   core::CampaignObsData one, eight;
   const core::CampaignResult r1 = core::run_parallel_campaign(spec, 1, opts, &one);
   const core::CampaignResult r8 = core::run_parallel_campaign(spec, 8, opts, &eight);
-  EXPECT_EQ(r1.to_json().dump(0), r8.to_json().dump(0));
+  EXPECT_EQ(test::encode(r1), test::encode(r8));
   ASSERT_EQ(one.trace.shard_count(), spec.vantage_ids.size());
   EXPECT_GT(one.trace.total_events(), 0u);
   EXPECT_EQ(one.trace.chrome_json(), eight.trace.chrome_json());
@@ -266,7 +267,7 @@ TEST(CampaignTrace, TracingDoesNotPerturbResults) {
   opts.metrics = true;
   core::CampaignObsData data;
   const core::CampaignResult traced = core::run_parallel_campaign(spec, 2, opts, &data);
-  EXPECT_EQ(plain.to_json().dump(0), traced.to_json().dump(0));
+  EXPECT_EQ(test::encode(plain), test::encode(traced));
   EXPECT_FALSE(data.metrics.empty());
   EXPECT_EQ(data.metrics.counter("campaign.records"), plain.records.size());
 }
@@ -300,7 +301,7 @@ TEST(FailureStage, JsonRoundTripAndLegacyDerivation) {
   r.ok = false;
   r.error_class = "tls-failure";
   r.failure_stage = "handshake";
-  const util::Json j = r.to_json();
+  const util::Json j = test::as_dom(r);
   ASSERT_TRUE(j.at("failure_stage").is_string());
   const auto back = core::ResultRecord::from_json(j);
   ASSERT_TRUE(back);
@@ -320,7 +321,7 @@ TEST(FailureStage, JsonRoundTripAndLegacyDerivation) {
   ok_rec.error_class.clear();
   ok_rec.failure_stage.clear();
   ok_rec.rcode = "NOERROR";
-  EXPECT_TRUE(ok_rec.to_json().at("failure_stage").is_null());
+  EXPECT_TRUE(test::as_dom(ok_rec).at("failure_stage").is_null());
 }
 
 TEST(FlightRecorder, RendersSlowestQueriesAndBreakdown) {

@@ -18,6 +18,7 @@
 
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
+#include "encode_util.h"
 
 namespace ednsm::core {
 namespace {
@@ -315,9 +316,9 @@ TEST(ShardIo, JsonRoundTripIsExact) {
   obs.trace = true;
   obs.metrics = true;
   const ShardFile file = make_shard_file(small_spec(), {1, 2}, obs);
-  const auto reloaded = ShardFile::from_json(file.to_json());
+  const auto reloaded = ShardFile::from_json(test::as_dom(file));
   ASSERT_TRUE(reloaded.has_value()) << reloaded.error();
-  EXPECT_EQ(reloaded.value().to_json().dump(2), file.to_json().dump(2));
+  EXPECT_EQ(test::encode(reloaded.value(), 2), test::encode(file, 2));
 }
 
 TEST(ShardIo, EmptySliceRoundTrips) {
@@ -326,7 +327,7 @@ TEST(ShardIo, EmptySliceRoundTrips) {
   const MeasurementSpec spec = small_spec();
   const ShardFile file = make_shard_file(spec, {5, 7}, {});
   EXPECT_TRUE(file.outcomes.empty());
-  const auto reloaded = ShardFile::from_json(file.to_json());
+  const auto reloaded = ShardFile::from_json(test::as_dom(file));
   ASSERT_TRUE(reloaded.has_value()) << reloaded.error();
   EXPECT_TRUE(reloaded.value().validate().has_value());
 }
@@ -334,36 +335,71 @@ TEST(ShardIo, EmptySliceRoundTrips) {
 TEST(ShardIo, FromJsonRejectsTampering) {
   const ShardFile file = make_shard_file(small_spec(), {0, 2}, {});
   {
-    util::Json j = file.to_json();
+    util::Json j = test::as_dom(file);
     j.as_object()["magic"] = "not-a-shard";
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    util::Json j = file.to_json();
+    util::Json j = test::as_dom(file);
     j.as_object()["version"] = ShardFile::kVersion + 1;
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    util::Json j = file.to_json();
+    util::Json j = test::as_dom(file);
     j.as_object()["spec_fingerprint"] = u64_to_hex(0);  // fingerprint/spec mismatch
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    util::Json j = file.to_json();
+    util::Json j = test::as_dom(file);
     j.as_object()["total_shards"] = 99;  // inconsistent with the embedded spec
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    util::Json j = file.to_json();
+    util::Json j = test::as_dom(file);
     j.as_object()["slice"].as_object()["k"] = 9;  // k >= n
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {
-    util::Json j = file.to_json();
+    util::Json j = test::as_dom(file);
     // Drop one outcome: the file no longer covers its slice.
     j.as_object()["outcomes"].as_array().pop_back();
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
+}
+
+// Integer fields of a shard file reject numbers no cast can hold (a bare
+// static_cast of 1e300 to size_t is undefined behaviour).
+TEST(ShardIo, FromJsonRejectsHostileNumbers) {
+  const ShardFile file = make_shard_file(small_spec(), {0, 2}, {});
+  const util::Json good = test::as_dom(file);
+  ASSERT_TRUE(ShardFile::from_json(good).has_value());
+  for (const double bad : {1e300, -1.0, 0.5}) {
+    {
+      util::Json j = good;
+      j.as_object()["version"] = bad;
+      EXPECT_FALSE(ShardFile::from_json(j).has_value()) << "version " << bad;
+    }
+    {
+      util::Json j = good;
+      j.as_object()["total_shards"] = bad;
+      EXPECT_FALSE(ShardFile::from_json(j).has_value()) << "total_shards " << bad;
+    }
+    for (const char* k : {"k", "n"}) {
+      util::Json j = good;
+      j.as_object()["slice"].as_object()[k] = bad;
+      EXPECT_FALSE(ShardFile::from_json(j).has_value()) << "slice " << k << " " << bad;
+    }
+    {
+      util::Json j = good;
+      j.as_object()["outcomes"].as_array().at(0).as_object()["index"] = bad;
+      EXPECT_FALSE(ShardFile::from_json(j).has_value()) << "index " << bad;
+    }
+  }
+  // Embedded records go through the record decoder's checks.
+  util::Json j = good;
+  auto& records = j.as_object()["outcomes"].as_array().at(0).as_object()["records"];
+  records.as_array().at(0).as_object()["round"] = 1e300;
+  EXPECT_FALSE(ShardFile::from_json(j).has_value());
 }
 
 TEST(ShardIo, WriteLoadRoundTripAndTruncationRejected) {
@@ -372,10 +408,10 @@ TEST(ShardIo, WriteLoadRoundTripAndTruncationRejected) {
   ASSERT_TRUE(file.write(path).has_value());
   const auto loaded = ShardFile::load(path);
   ASSERT_TRUE(loaded.has_value()) << loaded.error();
-  EXPECT_EQ(loaded.value().to_json().dump(2), file.to_json().dump(2));
+  EXPECT_EQ(test::encode(loaded.value(), 2), test::encode(file, 2));
 
   // Truncate the file: load must reject, never half-parse.
-  const std::string full = file.to_json().dump(2);
+  const std::string full = test::encode(file, 2);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << full.substr(0, full.size() / 2);
   out.close();

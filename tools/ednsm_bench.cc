@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,13 @@ util::Json make_header(const std::string& bench, std::uint64_t seed, int threads
   header["effective_threads"] = util::Json(static_cast<double>(effective));
   header["rounds"] = util::Json(static_cast<double>(rounds));
   return util::Json(std::move(header));
+}
+
+// The bytes a compact results file would hold.
+std::string encode_compact(const core::CampaignResult& result) {
+  std::ostringstream os;
+  result.write_json(os, 0);
+  return std::move(os).str();
 }
 
 }  // namespace
@@ -192,7 +200,7 @@ int main(int argc, char** argv) {
         traced = timed_run(true, wall_ms);
         if (run == 0 || wall_ms < best_traced_wall_ms) best_traced_wall_ms = wall_ms;
       }
-      trace_identical = traced.to_json().dump(0) == result.to_json().dump(0);
+      trace_identical = encode_compact(traced) == encode_compact(result);
     }
 
     const double records_per_sec =
