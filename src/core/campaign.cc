@@ -80,26 +80,11 @@ void CampaignResult::to_json(util::JsonWriter& w) const {
 }
 
 Result<CampaignResult> CampaignResult::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("campaign: not an object")};
   CampaignResult out;
-  auto spec = MeasurementSpec::from_json(j.at("spec"));
-  if (!spec) return Err{spec.error()};
-  out.spec = std::move(spec).value();
-
-  if (!j.at("records").is_array()) return Err{std::string("campaign: missing records")};
-  for (const util::Json& e : j.at("records").as_array()) {
-    auto r = ResultRecord::from_json(e);
-    if (!r) return Err{r.error()};
-    out.availability.record(r.value());
-    out.records.push_back(std::move(r).value());
-  }
-  if (j.at("pings").is_array()) {
-    for (const util::Json& e : j.at("pings").as_array()) {
-      auto p = PingRecord::from_json(e);
-      if (!p) return Err{p.error()};
-      out.pings.push_back(std::move(p).value());
-    }
-  }
+  util::JsonFields f(j, "campaign");
+  f.required("spec", out.spec).required("records", out.records).optional("pings", out.pings);
+  if (!f) return Err{f.error()};
+  for (const ResultRecord& r : out.records) out.availability.record(r);
   return out;
 }
 

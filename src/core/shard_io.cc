@@ -1,27 +1,33 @@
 #include "core/shard_io.h"
 
-#include <cstdio>
-
+#include "util/bytes.h"
 #include "util/fs.h"
 
 namespace ednsm::core {
 
-std::string u64_to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf);
+namespace {
+
+// One outcomes[] entry; trace and metrics are required exactly when the file
+// says it carries them.
+Result<ShardOutcome> outcome_from_json(const util::Json& j, bool has_trace, bool has_metrics) {
+  ShardOutcome out;
+  std::string seed;
+  util::JsonFields f(j, "outcome");
+  f.required("index", out.index)
+      .required("vantage", out.vantage)
+      .required("seed", seed)
+      .required("records", out.result.records)
+      .required("pings", out.result.pings);
+  if (has_trace) f.required("trace", out.trace);
+  if (has_metrics) f.required("metrics", out.metrics);
+  if (!f) return Err{f.error()};
+  auto parsed_seed = util::u64_from_hex(seed);
+  if (!parsed_seed) return Err{"outcome: bad seed: " + parsed_seed.error()};
+  out.seed = parsed_seed.value();
+  return out;
 }
 
-Result<std::uint64_t> u64_from_hex(const std::string& s) {
-  if (s.size() != 16 || s.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    return Err{"expected 16 lowercase hex digits: " + s};
-  }
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v = (v << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return v;
-}
+}  // namespace
 
 // Keys in sorted order, as Json::dump writes objects; the shard golden pins it.
 void ShardFile::to_json(util::JsonWriter& w) const {
@@ -40,7 +46,7 @@ void ShardFile::to_json(util::JsonWriter& w) const {
     w.key("records").begin_array();
     for (const ResultRecord& r : out.result.records) r.to_json(w);
     w.end_array();
-    w.key("seed").value(u64_to_hex(out.seed));
+    w.key("seed").value(util::u64_to_hex(out.seed));
     if (has_trace) w.key("trace").value(out.trace.to_json());
     w.key("vantage").value(out.vantage);
     w.end_object();
@@ -51,99 +57,42 @@ void ShardFile::to_json(util::JsonWriter& w) const {
   w.key("n").value(static_cast<std::uint64_t>(slice.n));
   w.end_object();
   w.key("spec").value(spec.to_json());
-  w.key("spec_fingerprint").value(u64_to_hex(spec_fingerprint(spec)));
+  w.key("spec_fingerprint").value(util::u64_to_hex(spec_fingerprint(spec)));
   w.key("total_shards").value(static_cast<std::uint64_t>(total_shards));
   w.key("version").value(kVersion);
   w.end_object();
 }
 
 Result<ShardFile> ShardFile::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("shard file: not a JSON object")};
-  if (!j.at("magic").is_string() || j.at("magic").as_string() != kMagic) {
-    return Err{std::string("shard file: bad magic (expected \"ednsm-shard\")")};
-  }
+  ShardFile file;
+  std::string magic;
   int version = 0;
-  if (!j.at("version").is_number() || !integer_from_json(j.at("version"), "version", version) ||
-      version != kVersion) {
-    return Err{std::string("shard file: unsupported version")};
-  }
-  ShardFile f;
-  auto spec = MeasurementSpec::from_json(j.at("spec"));
-  if (!spec) return Err{"shard file: bad spec: " + spec.error()};
-  f.spec = std::move(spec).value();
+  util::JsonFields f(j, "shard file");
+  f.required("magic", magic).required("version", version);
+  if (!f) return Err{f.error()};
+  if (magic != kMagic) return Err{std::string("shard file: bad magic (expected \"ednsm-shard\")")};
+  if (version != kVersion) return Err{std::string("shard file: unsupported version")};
 
-  if (!j.at("spec_fingerprint").is_string()) {
-    return Err{std::string("shard file: missing spec_fingerprint")};
-  }
-  auto fp = u64_from_hex(j.at("spec_fingerprint").as_string());
+  std::string fingerprint;
+  f.required("spec", file.spec).required("spec_fingerprint", fingerprint);
+  util::JsonFields slice = f.object("slice");
+  slice.required("k", file.slice.k).required("n", file.slice.n);
+  f.required("total_shards", file.total_shards)
+      .required("has_trace", file.has_trace)
+      .required("has_metrics", file.has_metrics);
+  if (!f) return Err{f.error()};
+  auto fp = util::u64_from_hex(fingerprint);
   if (!fp) return Err{"shard file: bad spec_fingerprint: " + fp.error()};
-  if (fp.value() != spec_fingerprint(f.spec)) {
+  if (fp.value() != spec_fingerprint(file.spec)) {
     return Err{std::string("shard file: spec_fingerprint does not match embedded spec")};
   }
 
-  const util::Json& slice_j = j.at("slice");
-  if (!slice_j.is_object() || !slice_j.at("k").is_number() || !slice_j.at("n").is_number()) {
-    return Err{std::string("shard file: slice must be {k, n}")};
-  }
-  if (auto v = integer_from_json(slice_j.at("k"), "shard file: slice k", f.slice.k); !v) {
-    return Err{v.error()};
-  }
-  if (auto v = integer_from_json(slice_j.at("n"), "shard file: slice n", f.slice.n); !v) {
-    return Err{v.error()};
-  }
-  if (!j.at("total_shards").is_number()) {
-    return Err{std::string("shard file: missing total_shards")};
-  }
-  if (auto v = integer_from_json(j.at("total_shards"), "shard file: total_shards", f.total_shards);
-      !v) {
-    return Err{v.error()};
-  }
-  if (!j.at("has_trace").is_bool() || !j.at("has_metrics").is_bool()) {
-    return Err{std::string("shard file: missing has_trace/has_metrics")};
-  }
-  f.has_trace = j.at("has_trace").as_bool();
-  f.has_metrics = j.at("has_metrics").as_bool();
-
-  if (!j.at("outcomes").is_array()) return Err{std::string("shard file: missing outcomes")};
-  for (const util::Json& oj : j.at("outcomes").as_array()) {
-    if (!oj.is_object() || !oj.at("index").is_number() || !oj.at("vantage").is_string() ||
-        !oj.at("seed").is_string() || !oj.at("records").is_array() ||
-        !oj.at("pings").is_array()) {
-      return Err{std::string("shard file: malformed outcome entry")};
-    }
-    ShardOutcome out;
-    if (auto v = integer_from_json(oj.at("index"), "shard file: outcome index", out.index); !v) {
-      return Err{v.error()};
-    }
-    out.vantage = oj.at("vantage").as_string();
-    auto seed = u64_from_hex(oj.at("seed").as_string());
-    if (!seed) return Err{"shard file: bad outcome seed: " + seed.error()};
-    out.seed = seed.value();
-    for (const util::Json& rj : oj.at("records").as_array()) {
-      auto r = ResultRecord::from_json(rj);
-      if (!r) return Err{"shard file: bad record: " + r.error()};
-      out.result.records.push_back(std::move(r).value());
-    }
-    for (const util::Json& pj : oj.at("pings").as_array()) {
-      auto p = PingRecord::from_json(pj);
-      if (!p) return Err{"shard file: bad ping: " + p.error()};
-      out.result.pings.push_back(std::move(p).value());
-    }
-    if (f.has_trace) {
-      auto t = obs::TraceData::from_json(oj.at("trace"));
-      if (!t) return Err{"shard file: bad trace: " + t.error()};
-      out.trace = std::move(t).value();
-    }
-    if (f.has_metrics) {
-      auto m = obs::Metrics::from_json(oj.at("metrics"));
-      if (!m) return Err{"shard file: bad metrics: " + m.error()};
-      out.metrics = std::move(m).value();
-    }
-    f.outcomes.push_back(std::move(out));
-  }
-
-  if (auto v = f.validate(); !v) return Err{v.error()};
-  return f;
+  f.required("outcomes", file.outcomes, [&file](const util::Json& o) {
+    return outcome_from_json(o, file.has_trace, file.has_metrics);
+  });
+  if (!f) return Err{f.error()};
+  if (auto v = file.validate(); !v) return Err{v.error()};
+  return file;
 }
 
 Result<void> ShardFile::validate() const {

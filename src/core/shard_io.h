@@ -18,8 +18,9 @@
 //     ]
 //   }
 //
-// Seeds and fingerprints are hex strings because the JSON layer stores
-// numbers as doubles, which cannot hold a full 64-bit value exactly.
+// Seeds and fingerprints are hex strings (util::u64_to_hex) because the JSON
+// layer stores numbers as doubles, which cannot hold a full 64-bit value
+// exactly.
 //
 // load() rejects anything that could silently corrupt a merge: truncated or
 // non-JSON input, a magic/version mismatch, a fingerprint that does not match
@@ -60,10 +61,5 @@ struct ShardFile {
   // Read + parse + validate.
   [[nodiscard]] static Result<ShardFile> load(const std::string& path);
 };
-
-// 64-bit value <-> fixed-width lowercase hex (16 digits), used for seeds and
-// spec fingerprints inside shard files.
-[[nodiscard]] std::string u64_to_hex(std::uint64_t v);
-[[nodiscard]] Result<std::uint64_t> u64_from_hex(const std::string& s);
 
 }  // namespace ednsm::core

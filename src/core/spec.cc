@@ -1,5 +1,8 @@
 #include "core/spec.h"
 
+#include <cmath>
+#include <optional>
+
 namespace ednsm::core {
 
 namespace {
@@ -11,25 +14,15 @@ util::Json string_array(const std::vector<std::string>& v) {
   return util::Json(std::move(arr));
 }
 
-Result<std::vector<std::string>> parse_string_array(const util::Json& j, const char* what) {
-  if (!j.is_array()) return Err{std::string("spec: ") + what + " must be an array"};
-  std::vector<std::string> out;
-  for (const util::Json& e : j.as_array()) {
-    if (!e.is_string()) return Err{std::string("spec: ") + what + " entries must be strings"};
-    out.push_back(e.as_string());
-  }
-  return out;
-}
-
 std::string_view protocol_name(client::Protocol p) { return client::to_string(p); }
 
-// Millisecond durations decode like integer fields: a value whose microsecond
-// count overflows SimDuration's int64 is an error, not an undefined cast.
-Result<void> duration_from_json(const util::Json& j, std::string_view what,
-                                netsim::SimDuration& out) {
-  if (!j.is_number()) return {};
-  if (!(std::abs(j.as_number()) < 9e15)) return Err{std::string(what) + " is out of range"};
-  out = netsim::from_ms(j.as_number());
+// Durations decode like integer fields: a value whose microsecond count
+// overflows SimDuration's int64 is an error, not an undefined conversion.
+Result<void> set_duration_ms(const std::optional<double>& ms, std::string_view what,
+                             netsim::SimDuration& out) {
+  if (!ms.has_value()) return {};
+  if (!(std::abs(*ms) < 9e15)) return Err{std::string(what) + " is out of range"};
+  out = netsim::from_ms(*ms);
   return {};
 }
 
@@ -49,21 +42,11 @@ util::Json FaultWindow::to_json() const {
 }
 
 Result<FaultWindow> FaultWindow::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("fault window: not an object")};
   FaultWindow w;
-  if (!j.at("resolver").is_string() || !j.at("from_round").is_number() ||
-      !j.at("to_round").is_number()) {
-    return Err{std::string("fault window: missing required fields")};
-  }
-  w.resolver = j.at("resolver").as_string();
-  if (auto v = integer_from_json(j.at("from_round"), "fault window: from_round", w.from_round);
-      !v) {
-    return Err{v.error()};
-  }
-  if (auto v = integer_from_json(j.at("to_round"), "fault window: to_round", w.to_round); !v) {
-    return Err{v.error()};
-  }
-  return w;
+  util::JsonFields f(j, "fault window");
+  f.required("resolver", w.resolver).required("from_round", w.from_round)
+      .required("to_round", w.to_round);
+  return f.result(std::move(w));
 }
 
 Result<void> MeasurementSpec::validate() const {
@@ -117,69 +100,51 @@ util::Json MeasurementSpec::to_json() const {
 
 Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
   MeasurementSpec spec;
-  auto resolvers = parse_string_array(j.at("resolvers"), "resolvers");
-  if (!resolvers) return Err{resolvers.error()};
-  spec.resolvers = std::move(resolvers).value();
-  auto domains = parse_string_array(j.at("domains"), "domains");
-  if (!domains) return Err{domains.error()};
-  spec.domains = std::move(domains).value();
-  auto vantages = parse_string_array(j.at("vantage_ids"), "vantage_ids");
-  if (!vantages) return Err{vantages.error()};
-  spec.vantage_ids = std::move(vantages).value();
+  std::string protocol;
+  std::optional<std::string> reuse;
+  std::optional<std::int64_t> round_interval_s;
+  std::optional<double> ping_timeout_ms;
+  std::optional<double> timeout_ms;
+  util::JsonFields f(j, "spec");
+  f.required("resolvers", spec.resolvers)
+      .required("domains", spec.domains)
+      .required("vantage_ids", spec.vantage_ids)
+      .required("protocol", protocol)
+      .optional("rounds", spec.rounds)
+      .optional("round_interval_s", round_interval_s)
+      .optional("ping_timeout_ms", ping_timeout_ms)
+      .optional("timeout_ms", timeout_ms)
+      .optional("use_post", spec.query_options.use_post)
+      .optional("use_http2", spec.query_options.use_http2)
+      .optional("early_data", spec.query_options.offer_early_data)
+      .optional("pad_block", spec.query_options.pad_block)
+      .optional("reuse", reuse)
+      .optional("seed", spec.seed)
+      .optional("fault_windows", spec.fault_windows);
+  if (!f) return Err{f.error()};
 
-  if (!j.at("protocol").is_string()) return Err{std::string("spec: missing protocol")};
-  auto proto = parse_protocol(j.at("protocol").as_string());
+  auto proto = parse_protocol(protocol);
   if (!proto) return Err{proto.error()};
   spec.protocol = proto.value();
-
-  if (auto v = integer_from_json(j.at("rounds"), "spec: rounds", spec.rounds); !v) {
-    return Err{v.error()};
+  if (reuse.has_value()) {
+    const auto policy = transport::reuse_policy_from_string(*reuse);
+    if (!policy.has_value()) return Err{"spec: unknown reuse policy '" + *reuse + "'"};
+    spec.query_options.reuse = *policy;
   }
-  if (j.at("round_interval_s").is_number()) {
-    std::int64_t seconds = 0;
-    if (auto v = integer_from_json(j.at("round_interval_s"), "spec: round_interval_s", seconds);
-        !v) {
-      return Err{v.error()};
+  if (round_interval_s.has_value()) {
+    // SimDuration counts microseconds in an int64: whole seconds stay below 9e12.
+    constexpr std::int64_t kMaxSeconds = 9'000'000'000'000;
+    if (*round_interval_s <= -kMaxSeconds || *round_interval_s >= kMaxSeconds) {
+      return Err{std::string("spec: round_interval_s is out of range")};
     }
-    spec.round_interval = std::chrono::seconds(seconds);
+    spec.round_interval = std::chrono::seconds(*round_interval_s);
   }
-  if (auto v = duration_from_json(j.at("ping_timeout_ms"), "spec: ping_timeout_ms",
-                                  spec.ping_timeout);
-      !v) {
+  if (auto v = set_duration_ms(ping_timeout_ms, "spec: ping_timeout_ms", spec.ping_timeout); !v) {
     return Err{v.error()};
   }
-  if (auto v = duration_from_json(j.at("timeout_ms"), "spec: timeout_ms",
-                                  spec.query_options.timeout);
-      !v) {
+  if (auto v = set_duration_ms(timeout_ms, "spec: timeout_ms", spec.query_options.timeout); !v) {
     return Err{v.error()};
   }
-  if (j.at("use_post").is_bool()) spec.query_options.use_post = j.at("use_post").as_bool();
-  if (j.at("use_http2").is_bool()) spec.query_options.use_http2 = j.at("use_http2").as_bool();
-  if (j.at("early_data").is_bool()) {
-    spec.query_options.offer_early_data = j.at("early_data").as_bool();
-  }
-  if (auto v = integer_from_json(j.at("pad_block"), "spec: pad_block",
-                                 spec.query_options.pad_block);
-      !v) {
-    return Err{v.error()};
-  }
-  if (j.at("reuse").is_string()) {
-    const std::string& r = j.at("reuse").as_string();
-    if (auto policy = transport::reuse_policy_from_string(r); policy.has_value()) {
-      spec.query_options.reuse = *policy;
-    } else {
-      return Err{std::string("spec: unknown reuse policy '") + r + "'"};
-    }
-  }
-  if (auto v = integer_from_json(j.at("seed"), "spec: seed", spec.seed); !v) return Err{v.error()};
-  if (j.at("fault_windows").is_array()) {
-    for (const util::Json& e : j.at("fault_windows").as_array()) {
-      auto w = FaultWindow::from_json(e);
-      if (!w) return Err{w.error()};
-      spec.fault_windows.push_back(std::move(w).value());
-    }
-  }
-
   if (auto v = spec.validate(); !v) return Err{v.error()};
   return spec;
 }
@@ -228,53 +193,39 @@ void ResultRecord::to_json(util::JsonWriter& w) const {
 }
 
 Result<ResultRecord> ResultRecord::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("record: not an object")};
   ResultRecord r;
-  if (!j.at("vantage").is_string() || !j.at("resolver").is_string() ||
-      !j.at("domain").is_string() || !j.at("ok").is_bool()) {
-    return Err{std::string("record: missing required fields")};
-  }
-  r.vantage = j.at("vantage").as_string();
-  r.resolver = j.at("resolver").as_string();
-  r.domain = j.at("domain").as_string();
-  if (j.at("protocol").is_string()) {
-    auto p = parse_protocol(j.at("protocol").as_string());
+  std::optional<std::string> protocol;
+  util::JsonFields f(j, "record");
+  f.required("vantage", r.vantage)
+      .required("resolver", r.resolver)
+      .required("domain", r.domain)
+      .required("ok", r.ok)
+      .optional("protocol", protocol)
+      .optional("round", r.round)
+      .optional("issued_at_ms", r.issued_at_ms)
+      .optional("response_ms", r.response_ms)
+      .optional("connect_ms", r.connect_ms)
+      .optional("tcp_handshake_ms", r.tcp_handshake_ms)
+      .optional("tls_handshake_ms", r.tls_handshake_ms)
+      .optional("quic_handshake_ms", r.quic_handshake_ms)
+      .optional("pool_wait_ms", r.pool_wait_ms)
+      .optional("exchange_ms", r.exchange_ms)
+      .optional("reused", r.connection_reused)
+      .optional("rcode", r.rcode)
+      .optional("error_class", r.error_class)
+      .optional("error_detail", r.error_detail)
+      .optional("failure_stage", r.failure_stage)
+      .optional("http_status", r.http_status)
+      .optional("answers", r.answer_count);
+  if (!f) return Err{f.error()};
+  if (protocol.has_value()) {
+    auto p = parse_protocol(*protocol);
     if (!p) return Err{p.error()};
     r.protocol = p.value();
   }
-  r.ok = j.at("ok").as_bool();
-  if (auto v = integer_from_json(j.at("round"), "record: round", r.round); !v) {
-    return Err{v.error()};
-  }
-  if (j.at("issued_at_ms").is_number()) r.issued_at_ms = j.at("issued_at_ms").as_number();
-  if (j.at("response_ms").is_number()) r.response_ms = j.at("response_ms").as_number();
-  if (j.at("connect_ms").is_number()) r.connect_ms = j.at("connect_ms").as_number();
-  if (j.at("tcp_handshake_ms").is_number()) {
-    r.tcp_handshake_ms = j.at("tcp_handshake_ms").as_number();
-  }
-  if (j.at("tls_handshake_ms").is_number()) {
-    r.tls_handshake_ms = j.at("tls_handshake_ms").as_number();
-  }
-  if (j.at("quic_handshake_ms").is_number()) {
-    r.quic_handshake_ms = j.at("quic_handshake_ms").as_number();
-  }
-  if (j.at("pool_wait_ms").is_number()) r.pool_wait_ms = j.at("pool_wait_ms").as_number();
-  if (j.at("exchange_ms").is_number()) r.exchange_ms = j.at("exchange_ms").as_number();
-  if (j.at("reused").is_bool()) r.connection_reused = j.at("reused").as_bool();
-  if (j.at("rcode").is_string()) r.rcode = j.at("rcode").as_string();
-  if (j.at("error_class").is_string()) r.error_class = j.at("error_class").as_string();
-  if (j.at("error_detail").is_string()) r.error_detail = j.at("error_detail").as_string();
-  if (j.at("failure_stage").is_string()) {
-    r.failure_stage = j.at("failure_stage").as_string();
-  } else if (!r.ok && !r.error_class.empty()) {
+  if (!r.ok && r.failure_stage.empty()) {
     // Files written before the field existed: reconstruct from error_class.
     r.failure_stage = std::string(derive_failure_stage(r.error_class));
-  }
-  if (auto v = integer_from_json(j.at("http_status"), "record: http_status", r.http_status); !v) {
-    return Err{v.error()};
-  }
-  if (auto v = integer_from_json(j.at("answers"), "record: answers", r.answer_count); !v) {
-    return Err{v.error()};
   }
   return r;
 }
@@ -290,19 +241,14 @@ void PingRecord::to_json(util::JsonWriter& w) const {
 }
 
 Result<PingRecord> PingRecord::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("ping: not an object")};
   PingRecord p;
-  if (!j.at("vantage").is_string() || !j.at("resolver").is_string() || !j.at("ok").is_bool()) {
-    return Err{std::string("ping: missing required fields")};
-  }
-  p.vantage = j.at("vantage").as_string();
-  p.resolver = j.at("resolver").as_string();
-  p.ok = j.at("ok").as_bool();
-  if (auto v = integer_from_json(j.at("round"), "ping: round", p.round); !v) {
-    return Err{v.error()};
-  }
-  if (j.at("rtt_ms").is_number()) p.rtt_ms = j.at("rtt_ms").as_number();
-  return p;
+  util::JsonFields f(j, "ping");
+  f.required("vantage", p.vantage)
+      .required("resolver", p.resolver)
+      .required("ok", p.ok)
+      .optional("round", p.round)
+      .optional("rtt_ms", p.rtt_ms);
+  return f.result(std::move(p));
 }
 
 }  // namespace ednsm::core

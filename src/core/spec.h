@@ -6,9 +6,6 @@
 // the results to a JSON file."
 #pragma once
 
-#include <cmath>
-#include <concepts>
-#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,25 +15,6 @@
 #include "netsim/time.h"
 
 namespace ednsm::core {
-
-// Decoder helper for integer fields: when `j` is a number, stores it in `out`
-// if it is integral and inside T's range, and returns Err naming `what`
-// otherwise (casting 1e300 or 0.5 to an integer would be undefined or lossy).
-// Leaves `out` untouched when `j` is absent or not a number, so optional
-// fields keep their defaults; required fields check presence first.
-template <std::integral T>
-[[nodiscard]] Result<void> integer_from_json(const util::Json& j, std::string_view what, T& out) {
-  if (!j.is_number()) return {};
-  const double d = j.as_number();
-  // Bounds are powers of two, exact as doubles: [min, max + 1).
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
-  if (!(d >= lo && d < hi) || d != std::trunc(d)) {
-    return Err{std::string(what) + " must be an integer in range"};
-  }
-  out = static_cast<T>(d);
-  return {};
-}
 
 // A scripted resolver outage: every site of `resolver` is taken offline for
 // rounds [from_round, to_round). Deterministic fault-schedule hook for the

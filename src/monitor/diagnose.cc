@@ -172,16 +172,13 @@ util::Json CauseVerdict::to_json() const {
 }
 
 Result<CauseVerdict> CauseVerdict::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("cause verdict: not an object")};
   CauseVerdict v;
-  if (!j.at("cause").is_string()) return Err{std::string("cause verdict: missing cause")};
-  v.cause = j.at("cause").as_string();
-  if (j.at("score").is_number()) v.score = j.at("score").as_number();
-  if (j.at("evidence").is_number()) {
-    v.evidence = static_cast<std::uint64_t>(j.at("evidence").as_number());
-  }
-  if (j.at("rationale").is_string()) v.rationale = j.at("rationale").as_string();
-  return v;
+  util::JsonFields f(j, "cause verdict");
+  f.required("cause", v.cause)
+      .optional("score", v.score)
+      .optional("evidence", v.evidence)
+      .optional("rationale", v.rationale);
+  return f.result(std::move(v));
 }
 
 util::Json DiagnosisScope::to_json() const {
@@ -200,28 +197,13 @@ util::Json DiagnosisScope::to_json() const {
 }
 
 Result<DiagnosisScope> DiagnosisScope::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("diagnosis scope: not an object")};
   DiagnosisScope s;
-  if (!j.at("classification").is_string()) {
-    return Err{std::string("diagnosis scope: missing classification")};
-  }
-  s.classification = j.at("classification").as_string();
-  if (j.at("affected_vantages").is_array()) {
-    for (const util::Json& v : j.at("affected_vantages").as_array()) {
-      if (!v.is_string()) return Err{std::string("diagnosis scope: vantage must be a string")};
-      s.affected_vantages.push_back(v.as_string());
-    }
-  }
-  if (j.at("affected_regions").is_array()) {
-    for (const util::Json& r : j.at("affected_regions").as_array()) {
-      if (!r.is_string()) return Err{std::string("diagnosis scope: region must be a string")};
-      s.affected_regions.push_back(r.as_string());
-    }
-  }
-  if (j.at("vantages_observed").is_number()) {
-    s.vantages_observed = static_cast<int>(j.at("vantages_observed").as_number());
-  }
-  return s;
+  util::JsonFields f(j, "diagnosis scope");
+  f.required("classification", s.classification)
+      .optional("affected_vantages", s.affected_vantages)
+      .optional("affected_regions", s.affected_regions)
+      .optional("vantages_observed", s.vantages_observed);
+  return f.result(std::move(s));
 }
 
 util::Json Diagnosis::to_json() const {
@@ -248,62 +230,25 @@ util::Json Diagnosis::to_json() const {
 }
 
 Result<Diagnosis> Diagnosis::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("diagnosis: not an object")};
   Diagnosis d;
-  if (j.at("version").is_number()) d.version = static_cast<int>(j.at("version").as_number());
+  util::JsonFields f(j, "diagnosis");
+  f.optional("version", d.version);
+  if (!f) return Err{f.error()};
   if (d.version != kDiagnosisVersion) {
     return Err{std::string("diagnosis: unsupported version ") + std::to_string(d.version)};
   }
-  auto event = MonitorEvent::from_json(j.at("event"));
-  if (!event) return Err{event.error()};
-  d.event = std::move(event).value();
-  if (j.at("baseline_from").is_number()) {
-    d.baseline_from = static_cast<int>(j.at("baseline_from").as_number());
-  }
-  if (j.at("baseline_to").is_number()) {
-    d.baseline_to = static_cast<int>(j.at("baseline_to").as_number());
-  }
-  if (j.at("dominant_stage").is_string()) d.dominant_stage = j.at("dominant_stage").as_string();
-  if (!j.at("stages").is_null()) {
-    auto stages = obs::StageBreakdown::from_json(j.at("stages"));
-    if (!stages) return Err{stages.error()};
-    d.stages = stages.value();
-  }
-  if (!j.at("baseline").is_null()) {
-    auto baseline = obs::PhaseProfile::from_json(j.at("baseline"));
-    if (!baseline) return Err{baseline.error()};
-    d.baseline = baseline.value();
-  }
-  if (!j.at("window").is_null()) {
-    auto window = obs::PhaseProfile::from_json(j.at("window"));
-    if (!window) return Err{window.error()};
-    d.window = window.value();
-  }
-  if (!j.at("delta").is_null()) {
-    auto delta = obs::PhaseDelta::from_json(j.at("delta"));
-    if (!delta) return Err{delta.error()};
-    d.delta = delta.value();
-  }
-  if (!j.at("scope").is_null()) {
-    auto scope = DiagnosisScope::from_json(j.at("scope"));
-    if (!scope) return Err{scope.error()};
-    d.scope = std::move(scope).value();
-  }
-  if (j.at("verdicts").is_array()) {
-    for (const util::Json& v : j.at("verdicts").as_array()) {
-      auto verdict = CauseVerdict::from_json(v);
-      if (!verdict) return Err{verdict.error()};
-      d.verdicts.push_back(std::move(verdict).value());
-    }
-  }
-  if (j.at("exemplars").is_array()) {
-    for (const util::Json& e : j.at("exemplars").as_array()) {
-      auto exemplar = obs::Exemplar::from_json(e);
-      if (!exemplar) return Err{exemplar.error()};
-      d.exemplars.push_back(std::move(exemplar).value());
-    }
-  }
-  return d;
+  f.required("event", d.event)
+      .optional("baseline_from", d.baseline_from)
+      .optional("baseline_to", d.baseline_to)
+      .optional("dominant_stage", d.dominant_stage)
+      .optional("stages", d.stages)
+      .optional("baseline", d.baseline)
+      .optional("window", d.window)
+      .optional("delta", d.delta)
+      .optional("scope", d.scope)
+      .optional("verdicts", d.verdicts)
+      .optional("exemplars", d.exemplars);
+  return f.result(std::move(d));
 }
 
 util::Json DiagnosisReport::to_json() const {
@@ -317,23 +262,16 @@ util::Json DiagnosisReport::to_json() const {
 }
 
 Result<DiagnosisReport> DiagnosisReport::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("diagnosis report: not an object")};
   DiagnosisReport report;
-  if (j.at("version").is_number()) {
-    report.version = static_cast<int>(j.at("version").as_number());
-  }
+  util::JsonFields f(j, "diagnosis report");
+  f.optional("version", report.version);
+  if (!f) return Err{f.error()};
   if (report.version != kDiagnosisVersion) {
     return Err{std::string("diagnosis report: unsupported version ") +
                std::to_string(report.version)};
   }
-  if (j.at("diagnoses").is_array()) {
-    for (const util::Json& d : j.at("diagnoses").as_array()) {
-      auto diagnosis = Diagnosis::from_json(d);
-      if (!diagnosis) return Err{diagnosis.error()};
-      report.diagnoses.push_back(std::move(diagnosis).value());
-    }
-  }
-  return report;
+  f.optional("diagnoses", report.diagnoses);
+  return f.result(std::move(report));
 }
 
 void DiagnosisReport::write_json(std::ostream& os, int indent) const {

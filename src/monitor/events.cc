@@ -48,23 +48,16 @@ util::Json MonitorEvent::to_json() const {
 }
 
 Result<MonitorEvent> MonitorEvent::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("monitor event: not an object")};
   MonitorEvent e;
-  if (!j.at("type").is_string() || !j.at("vantage").is_string() ||
-      !j.at("resolver").is_string() || !j.at("protocol").is_string() ||
-      !j.at("start_epoch").is_number() || !j.at("end_epoch").is_number()) {
-    return Err{std::string("monitor event: missing required fields")};
-  }
-  e.type = j.at("type").as_string();
-  e.vantage = j.at("vantage").as_string();
-  e.resolver = j.at("resolver").as_string();
-  e.protocol = j.at("protocol").as_string();
-  e.start_epoch = static_cast<int>(j.at("start_epoch").as_number());
-  e.end_epoch = static_cast<int>(j.at("end_epoch").as_number());
-  if (j.at("transitions").is_number()) {
-    e.transitions = static_cast<int>(j.at("transitions").as_number());
-  }
-  return e;
+  util::JsonFields f(j, "monitor event");
+  f.required("type", e.type)
+      .required("vantage", e.vantage)
+      .required("resolver", e.resolver)
+      .required("protocol", e.protocol)
+      .required("start_epoch", e.start_epoch)
+      .required("end_epoch", e.end_epoch)
+      .optional("transitions", e.transitions);
+  return f.result(std::move(e));
 }
 
 std::vector<MonitorEvent> detect_events(const std::vector<SloSample>& samples,

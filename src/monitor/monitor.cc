@@ -1,5 +1,6 @@
 #include "monitor/monitor.h"
 
+#include <optional>
 #include <ostream>
 
 namespace ednsm::monitor {
@@ -13,16 +14,11 @@ util::Json OutageScript::to_json() const {
 }
 
 Result<OutageScript> OutageScript::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("outage script: not an object")};
   OutageScript s;
-  if (!j.at("resolver").is_string() || !j.at("from_epoch").is_number() ||
-      !j.at("to_epoch").is_number()) {
-    return Err{std::string("outage script: missing required fields")};
-  }
-  s.resolver = j.at("resolver").as_string();
-  s.from_epoch = static_cast<int>(j.at("from_epoch").as_number());
-  s.to_epoch = static_cast<int>(j.at("to_epoch").as_number());
-  return s;
+  util::JsonFields f(j, "outage script");
+  f.required("resolver", s.resolver).required("from_epoch", s.from_epoch)
+      .required("to_epoch", s.to_epoch);
+  return f.result(std::move(s));
 }
 
 Result<void> MonitorSpec::validate() const {
@@ -51,24 +47,13 @@ util::Json MonitorSpec::to_json() const {
 }
 
 Result<MonitorSpec> MonitorSpec::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("monitor spec: not an object")};
   MonitorSpec spec;
-  auto base = core::MeasurementSpec::from_json(j.at("base"));
-  if (!base) return Err{base.error()};
-  spec.base = std::move(base).value();
-  if (j.at("epochs").is_number()) spec.epochs = static_cast<int>(j.at("epochs").as_number());
-  if (j.at("outages").is_array()) {
-    for (const util::Json& e : j.at("outages").as_array()) {
-      auto s = OutageScript::from_json(e);
-      if (!s) return Err{s.error()};
-      spec.outages.push_back(std::move(s).value());
-    }
-  }
-  if (!j.at("slo").is_null()) {
-    auto slo = SloConfig::from_json(j.at("slo"));
-    if (!slo) return Err{slo.error()};
-    spec.slo = slo.value();
-  }
+  util::JsonFields f(j, "monitor spec");
+  f.required("base", spec.base)
+      .optional("epochs", spec.epochs)
+      .optional("outages", spec.outages)
+      .optional("slo", spec.slo);
+  if (!f) return Err{f.error()};
   if (auto v = spec.validate(); !v) return Err{v.error()};
   return spec;
 }
@@ -84,17 +69,14 @@ util::Json EpochSummary::to_json() const {
 }
 
 Result<EpochSummary> EpochSummary::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("epoch summary: not an object")};
   EpochSummary s;
-  if (!j.at("epoch").is_number()) return Err{std::string("epoch summary: missing epoch")};
-  s.epoch = static_cast<int>(j.at("epoch").as_number());
-  if (j.at("seed").is_number()) s.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
-  if (j.at("queries").is_number()) s.queries = static_cast<std::uint64_t>(j.at("queries").as_number());
-  if (j.at("failures").is_number()) {
-    s.failures = static_cast<std::uint64_t>(j.at("failures").as_number());
-  }
-  if (j.at("availability").is_number()) s.availability = j.at("availability").as_number();
-  return s;
+  util::JsonFields f(j, "epoch summary");
+  f.required("epoch", s.epoch)
+      .optional("seed", s.seed)
+      .optional("queries", s.queries)
+      .optional("failures", s.failures)
+      .optional("availability", s.availability);
+  return f.result(s);
 }
 
 util::Json MonitorResult::to_json() const {
@@ -119,44 +101,20 @@ util::Json MonitorResult::to_json() const {
 }
 
 Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("monitor result: not an object")};
   MonitorResult out;
-  auto spec = MonitorSpec::from_json(j.at("spec"));
-  if (!spec) return Err{spec.error()};
-  out.spec = std::move(spec).value();
-  if (j.at("epochs").is_array()) {
-    for (const util::Json& e : j.at("epochs").as_array()) {
-      auto s = EpochSummary::from_json(e);
-      if (!s) return Err{s.error()};
-      out.epochs.push_back(std::move(s).value());
-    }
-  }
-  if (j.at("series").is_object()) {
-    if (j.at("series").at("bucket_width").is_number()) {
-      out.series =
-          obs::TimeSeries(static_cast<std::int64_t>(j.at("series").at("bucket_width").as_number()));
-    }
-    if (j.at("series").at("points").is_array()) {
-      for (const util::Json& e : j.at("series").at("points").as_array()) {
-        auto p = obs::SeriesPoint::from_json(e);
-        if (!p) return Err{p.error()};
-        if (auto ins = out.series.insert(p.value()); !ins) return Err{ins.error()};
-      }
-    }
-  }
-  if (j.at("slos").is_array()) {
-    for (const util::Json& e : j.at("slos").as_array()) {
-      auto s = SloSample::from_json(e);
-      if (!s) return Err{s.error()};
-      out.slos.push_back(std::move(s).value());
-    }
-  }
-  if (j.at("events").is_array()) {
-    for (const util::Json& e : j.at("events").as_array()) {
-      auto ev = MonitorEvent::from_json(e);
-      if (!ev) return Err{ev.error()};
-      out.events.push_back(std::move(ev).value());
-    }
+  std::optional<std::int64_t> bucket_width;
+  std::vector<obs::SeriesPoint> points;
+  util::JsonFields f(j, "monitor result");
+  f.required("spec", out.spec)
+      .optional("epochs", out.epochs)
+      .optional("slos", out.slos)
+      .optional("events", out.events);
+  util::JsonFields series = f.object("series");
+  series.optional("bucket_width", bucket_width).optional("points", points);
+  if (!f) return Err{f.error()};
+  if (bucket_width.has_value()) out.series = obs::TimeSeries(*bucket_width);
+  for (const obs::SeriesPoint& p : points) {
+    if (auto ins = out.series.insert(p); !ins) return Err{ins.error()};
   }
   return out;
 }

@@ -28,13 +28,13 @@ util::Json SloThresholds::to_json() const {
 }
 
 Result<SloThresholds> SloThresholds::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("slo thresholds: not an object")};
   SloThresholds t;
-  if (j.at("min_availability").is_number()) t.min_availability = j.at("min_availability").as_number();
-  if (j.at("max_p50_ms").is_number()) t.max_p50_ms = j.at("max_p50_ms").as_number();
-  if (j.at("max_p95_ms").is_number()) t.max_p95_ms = j.at("max_p95_ms").as_number();
-  if (j.at("max_p99_ms").is_number()) t.max_p99_ms = j.at("max_p99_ms").as_number();
-  return t;
+  util::JsonFields f(j, "slo thresholds");
+  f.optional("min_availability", t.min_availability)
+      .optional("max_p50_ms", t.max_p50_ms)
+      .optional("max_p95_ms", t.max_p95_ms)
+      .optional("max_p99_ms", t.max_p99_ms);
+  return f.result(t);
 }
 
 const SloThresholds& SloConfig::for_tier(resolver::OperatorTier tier) const noexcept {
@@ -75,32 +75,15 @@ util::Json SloConfig::to_json() const {
 }
 
 Result<SloConfig> SloConfig::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("slo config: not an object")};
   SloConfig c;
-  if (j.at("window_epochs").is_number()) {
-    c.window_epochs = static_cast<int>(j.at("window_epochs").as_number());
-  }
-  if (j.at("outage_availability").is_number()) {
-    c.outage_availability = j.at("outage_availability").as_number();
-  }
-  if (j.at("flap_transitions").is_number()) {
-    c.flap_transitions = static_cast<int>(j.at("flap_transitions").as_number());
-  }
-  if (!j.at("hyperscale").is_null()) {
-    auto t = SloThresholds::from_json(j.at("hyperscale"));
-    if (!t) return Err{t.error()};
-    c.hyperscale = t.value();
-  }
-  if (!j.at("managed").is_null()) {
-    auto t = SloThresholds::from_json(j.at("managed"));
-    if (!t) return Err{t.error()};
-    c.managed = t.value();
-  }
-  if (!j.at("hobbyist").is_null()) {
-    auto t = SloThresholds::from_json(j.at("hobbyist"));
-    if (!t) return Err{t.error()};
-    c.hobbyist = t.value();
-  }
+  util::JsonFields f(j, "slo config");
+  f.optional("window_epochs", c.window_epochs)
+      .optional("outage_availability", c.outage_availability)
+      .optional("flap_transitions", c.flap_transitions)
+      .optional("hyperscale", c.hyperscale)
+      .optional("managed", c.managed)
+      .optional("hobbyist", c.hobbyist);
+  if (!f) return Err{f.error()};
   if (auto v = c.validate(); !v) return Err{v.error()};
   return c;
 }
@@ -125,35 +108,23 @@ util::Json SloSample::to_json() const {
 }
 
 Result<SloSample> SloSample::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("slo sample: not an object")};
   SloSample s;
-  if (!j.at("vantage").is_string() || !j.at("resolver").is_string() ||
-      !j.at("protocol").is_string() || !j.at("epoch").is_number() || !j.at("state").is_string()) {
-    return Err{std::string("slo sample: missing required fields")};
-  }
-  s.vantage = j.at("vantage").as_string();
-  s.resolver = j.at("resolver").as_string();
-  s.protocol = j.at("protocol").as_string();
-  s.epoch = static_cast<int>(j.at("epoch").as_number());
-  s.state = j.at("state").as_string();
-  if (j.at("queries").is_number()) s.queries = static_cast<std::uint64_t>(j.at("queries").as_number());
-  if (j.at("failures").is_number()) {
-    s.failures = static_cast<std::uint64_t>(j.at("failures").as_number());
-  }
-  if (j.at("availability").is_number()) s.availability = j.at("availability").as_number();
-  if (j.at("window_queries").is_number()) {
-    s.window_queries = static_cast<std::uint64_t>(j.at("window_queries").as_number());
-  }
-  if (j.at("window_failures").is_number()) {
-    s.window_failures = static_cast<std::uint64_t>(j.at("window_failures").as_number());
-  }
-  if (j.at("window_availability").is_number()) {
-    s.window_availability = j.at("window_availability").as_number();
-  }
-  if (j.at("p50_ms").is_number()) s.p50_ms = j.at("p50_ms").as_number();
-  if (j.at("p95_ms").is_number()) s.p95_ms = j.at("p95_ms").as_number();
-  if (j.at("p99_ms").is_number()) s.p99_ms = j.at("p99_ms").as_number();
-  return s;
+  util::JsonFields f(j, "slo sample");
+  f.required("vantage", s.vantage)
+      .required("resolver", s.resolver)
+      .required("protocol", s.protocol)
+      .required("epoch", s.epoch)
+      .required("state", s.state)
+      .optional("queries", s.queries)
+      .optional("failures", s.failures)
+      .optional("availability", s.availability)
+      .optional("window_queries", s.window_queries)
+      .optional("window_failures", s.window_failures)
+      .optional("window_availability", s.window_availability)
+      .optional("p50_ms", s.p50_ms)
+      .optional("p95_ms", s.p95_ms)
+      .optional("p99_ms", s.p99_ms);
+  return f.result(std::move(s));
 }
 
 std::vector<SloSample> evaluate_slos(const obs::TimeSeries& series, const SloConfig& config,

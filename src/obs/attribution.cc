@@ -41,17 +41,14 @@ util::Json StageBreakdown::to_json() const {
 }
 
 Result<StageBreakdown> StageBreakdown::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("stage breakdown: not an object")};
   StageBreakdown b;
-  const auto read = [&j](const char* key, std::uint64_t& out) {
-    if (j.at(key).is_number()) out = static_cast<std::uint64_t>(j.at(key).as_number());
-  };
-  read("connect", b.connect);
-  read("handshake", b.handshake);
-  read("query", b.query);
-  read("timeout", b.timeout);
-  read("other", b.other);
-  return b;
+  util::JsonFields f(j, "stage breakdown");
+  f.optional("connect", b.connect)
+      .optional("handshake", b.handshake)
+      .optional("query", b.query)
+      .optional("timeout", b.timeout)
+      .optional("other", b.other);
+  return f.result(b);
 }
 
 util::Json PhaseProfile::to_json() const {
@@ -70,24 +67,19 @@ util::Json PhaseProfile::to_json() const {
 }
 
 Result<PhaseProfile> PhaseProfile::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("phase profile: not an object")};
   PhaseProfile p;
-  if (j.at("queries").is_number()) p.queries = static_cast<std::uint64_t>(j.at("queries").as_number());
-  if (j.at("failures").is_number()) {
-    p.failures = static_cast<std::uint64_t>(j.at("failures").as_number());
-  }
-  const auto read = [&j](const char* key, double& out) {
-    if (j.at(key).is_number()) out = j.at(key).as_number();
-  };
-  read("availability", p.availability);
-  read("reused_fraction", p.reused_fraction);
-  read("response_ms", p.response_ms);
-  read("tcp_ms", p.tcp_ms);
-  read("tls_ms", p.tls_ms);
-  read("quic_ms", p.quic_ms);
-  read("wait_ms", p.wait_ms);
-  read("exchange_ms", p.exchange_ms);
-  return p;
+  util::JsonFields f(j, "phase profile");
+  f.optional("queries", p.queries)
+      .optional("failures", p.failures)
+      .optional("availability", p.availability)
+      .optional("reused_fraction", p.reused_fraction)
+      .optional("response_ms", p.response_ms)
+      .optional("tcp_ms", p.tcp_ms)
+      .optional("tls_ms", p.tls_ms)
+      .optional("quic_ms", p.quic_ms)
+      .optional("wait_ms", p.wait_ms)
+      .optional("exchange_ms", p.exchange_ms);
+  return f.result(p);
 }
 
 util::Json PhaseDelta::to_json() const {
@@ -104,20 +96,17 @@ util::Json PhaseDelta::to_json() const {
 }
 
 Result<PhaseDelta> PhaseDelta::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("phase delta: not an object")};
   PhaseDelta d;
-  const auto read = [&j](const char* key, double& out) {
-    if (j.at(key).is_number()) out = j.at(key).as_number();
-  };
-  read("availability", d.availability);
-  read("reused_fraction", d.reused_fraction);
-  read("response_ms", d.response_ms);
-  read("tcp_ms", d.tcp_ms);
-  read("tls_ms", d.tls_ms);
-  read("quic_ms", d.quic_ms);
-  read("wait_ms", d.wait_ms);
-  read("exchange_ms", d.exchange_ms);
-  return d;
+  util::JsonFields f(j, "phase delta");
+  f.optional("availability", d.availability)
+      .optional("reused_fraction", d.reused_fraction)
+      .optional("response_ms", d.response_ms)
+      .optional("tcp_ms", d.tcp_ms)
+      .optional("tls_ms", d.tls_ms)
+      .optional("quic_ms", d.quic_ms)
+      .optional("wait_ms", d.wait_ms)
+      .optional("exchange_ms", d.exchange_ms);
+  return f.result(d);
 }
 
 util::Json Exemplar::to_json() const {
@@ -135,18 +124,18 @@ util::Json Exemplar::to_json() const {
 }
 
 Result<Exemplar> Exemplar::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("exemplar: not an object")};
   Exemplar e;
-  if (j.at("vantage").is_string()) e.vantage = j.at("vantage").as_string();
-  if (j.at("domain").is_string()) e.domain = j.at("domain").as_string();
-  if (j.at("epoch").is_number()) e.epoch = static_cast<int>(j.at("epoch").as_number());
-  if (j.at("round").is_number()) e.round = static_cast<int>(j.at("round").as_number());
-  if (j.at("ok").is_bool()) e.ok = j.at("ok").as_bool();
-  if (j.at("response_ms").is_number()) e.response_ms = j.at("response_ms").as_number();
-  if (j.at("failure_stage").is_string()) e.failure_stage = j.at("failure_stage").as_string();
-  if (j.at("error_class").is_string()) e.error_class = j.at("error_class").as_string();
-  if (j.at("flight_ref").is_string()) e.flight_ref = j.at("flight_ref").as_string();
-  return e;
+  util::JsonFields f(j, "exemplar");
+  f.optional("vantage", e.vantage)
+      .optional("domain", e.domain)
+      .optional("epoch", e.epoch)
+      .optional("round", e.round)
+      .optional("ok", e.ok)
+      .optional("response_ms", e.response_ms)
+      .optional("failure_stage", e.failure_stage)
+      .optional("error_class", e.error_class)
+      .optional("flight_ref", e.flight_ref);
+  return f.result(std::move(e));
 }
 
 StageBreakdown count_stages(const std::vector<QueryEvidence>& rows, int from_epoch,

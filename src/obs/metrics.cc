@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace ednsm::obs {
 
@@ -15,15 +16,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return std::string(buf);
-}
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -103,13 +95,13 @@ void Metrics::write_jsonl(std::ostream& os) const {
     switch (line.kind) {
       case 0:
         os << "{\"kind\":\"counter\",\"name\":";
-        write_escaped(os, line.name);
+        os << util::json_quote(line.name);
         os << ",\"value\":" << counters_[line.key] << "}\n";
         break;
       case 1: {
         const Distribution& d = dists_[line.key];
         os << "{\"kind\":\"distribution\",\"name\":";
-        write_escaped(os, line.name);
+        os << util::json_quote(line.name);
         os << ",\"count\":" << d.welford.count();
         if (d.welford.count() > 0) {
           os << ",\"mean\":" << fmt_double(d.welford.mean())
@@ -125,7 +117,7 @@ void Metrics::write_jsonl(std::ostream& os) const {
       }
       default:
         os << "{\"kind\":\"gauge\",\"name\":";
-        write_escaped(os, line.name);
+        os << util::json_quote(line.name);
         os << ",\"value\":" << fmt_double(gauges_[line.key]) << "}\n";
     }
   }
@@ -187,47 +179,44 @@ util::Json Metrics::to_json() const {
 }
 
 Result<Metrics> Metrics::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("metrics: not an object")};
-  if (!j.at("counters").is_array() || !j.at("gauges").is_array() || !j.at("dists").is_array()) {
-    return Err{std::string("metrics: missing counters/gauges/dists arrays")};
-  }
+  struct Dist {
+    std::string name;
+    std::uint64_t count = 0;
+    double mean = 0.0;
+    double m2 = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::vector<std::pair<std::size_t, std::uint64_t>> bins;  // [bin_index, count]
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<Dist> dists;
+  util::JsonFields f(j, "metrics");
+  f.required("counters", counters).required("gauges", gauges);
+  f.required("dists", dists, [](const util::Json& e) {
+    Dist d;
+    util::JsonFields df(e, "distribution");
+    df.required("name", d.name)
+        .required("count", d.count)
+        .optional("mean", d.mean)
+        .optional("m2", d.m2)
+        .optional("min", d.min)
+        .optional("max", d.max)
+        .required("bins", d.bins);
+    return df.result(std::move(d));
+  });
+  if (!f) return Err{f.error()};
+
   Metrics m;
-  for (const util::Json& e : j.at("counters").as_array()) {
-    if (!e.is_array() || e.as_array().size() != 2 || !e.as_array()[0].is_string() ||
-        !e.as_array()[1].is_number()) {
-      return Err{std::string("metrics: counter entries must be [name, value]")};
-    }
-    m.add(e.as_array()[0].as_string(),
-          static_cast<std::uint64_t>(e.as_array()[1].as_number()));
-  }
-  for (const util::Json& e : j.at("gauges").as_array()) {
-    if (!e.is_array() || e.as_array().size() != 2 || !e.as_array()[0].is_string() ||
-        !e.as_array()[1].is_number()) {
-      return Err{std::string("metrics: gauge entries must be [name, value]")};
-    }
-    m.set_gauge(e.as_array()[0].as_string(), e.as_array()[1].as_number());
-  }
-  for (const util::Json& e : j.at("dists").as_array()) {
-    if (!e.is_object() || !e.at("name").is_string() || !e.at("count").is_number()) {
-      return Err{std::string("metrics: distribution entries need name and count")};
-    }
-    const Key k = m.distribution_key(e.at("name").as_string());
-    Distribution& d = m.dists_[k];
-    d.welford = stats::Welford::from_moments(
-        static_cast<std::uint64_t>(e.at("count").as_number()),
-        e.at("mean").is_number() ? e.at("mean").as_number() : 0.0,
-        e.at("m2").is_number() ? e.at("m2").as_number() : 0.0,
-        e.at("min").is_number() ? e.at("min").as_number() : 0.0,
-        e.at("max").is_number() ? e.at("max").as_number() : 0.0);
-    if (!e.at("bins").is_array()) return Err{std::string("metrics: distribution missing bins")};
-    for (const util::Json& pair : e.at("bins").as_array()) {
-      if (!pair.is_array() || pair.as_array().size() != 2 || !pair.as_array()[0].is_number() ||
-          !pair.as_array()[1].is_number()) {
-        return Err{std::string("metrics: histogram bins must be [index, count]")};
-      }
-      if (!d.histogram.add_count(static_cast<std::size_t>(pair.as_array()[0].as_number()),
-                                 static_cast<std::uint64_t>(pair.as_array()[1].as_number()))) {
-        return Err{std::string("metrics: histogram bin index out of range")};
+  for (const auto& [name, value] : counters) m.add(name, value);
+  for (const auto& [name, value] : gauges) m.set_gauge(name, value);
+  for (const Dist& d : dists) {
+    const Key k = m.distribution_key(d.name);
+    Distribution& dist = m.dists_[k];
+    dist.welford = stats::Welford::from_moments(d.count, d.mean, d.m2, d.min, d.max);
+    for (const auto& [bin, count] : d.bins) {
+      if (!dist.histogram.add_count(bin, count)) {
+        return Err{"metrics: dists: " + d.name + ": histogram bin index out of range"};
       }
     }
   }

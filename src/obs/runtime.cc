@@ -3,70 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
+#include <utility>
 
+#include "util/bytes.h"
 #include "util/fs.h"
 
 namespace ednsm::obs {
-
-namespace {
-
-// Telemetry-domain hex codec for 64-bit identity fields (fingerprint, seed):
-// JSON numbers are doubles and cannot hold all 64 bits. Mirrors the shard
-// file's convention without depending on core.
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-Result<std::uint64_t> hex16_parse(const util::Json& j, const char* field) {
-  if (!j.is_string()) return Err{std::string(field) + ": expected a hex string"};
-  const std::string& s = j.as_string();
-  if (s.size() != 16) return Err{std::string(field) + ": expected 16 hex digits"};
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    int digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return Err{std::string(field) + ": invalid hex digit"};
-    }
-    v = (v << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return v;
-}
-
-Result<std::uint64_t> u64_field(const util::Json& j, const char* field) {
-  const util::Json& v = j.at(field);
-  if (!v.is_number() || v.as_number() < 0) {
-    return Err{std::string(field) + ": expected a non-negative number"};
-  }
-  return static_cast<std::uint64_t>(v.as_number());
-}
-
-Result<double> ms_field(const util::Json& j, const char* field) {
-  const util::Json& v = j.at(field);
-  if (!v.is_number() || v.as_number() < 0) {
-    return Err{std::string(field) + ": expected a non-negative number"};
-  }
-  return v.as_number();
-}
-
-Result<void> expect_schema(const util::Json& j, std::string_view name, int version) {
-  if (!j.is_object()) return Err{std::string("expected a JSON object")};
-  if (!j.at("schema").is_string() || j.at("schema").as_string() != name) {
-    return Err{"schema: expected \"" + std::string(name) + "\""};
-  }
-  if (!j.at("version").is_number() ||
-      static_cast<int>(j.at("version").as_number()) != version) {
-    return Err{"version: expected " + std::to_string(version)};
-  }
-  return Result<void>{};
-}
-
-}  // namespace
 
 std::uint64_t runtime_now_ns() {
   // The telemetry domain is the sanctioned home of the host clock; the
@@ -96,21 +39,14 @@ util::Json RuntimeStageSnapshot::stage_json() const {
 }
 
 Result<RuntimeStageSnapshot> RuntimeStageSnapshot::stage_from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("stage entry: expected an object")};
   RuntimeStageSnapshot s;
-  if (!j.at("stage").is_string() || j.at("stage").as_string().empty()) {
-    return Err{std::string("stage entry: missing stage name")};
-  }
-  s.stage = j.at("stage").as_string();
-  auto items_in = u64_field(j, "items_in");
-  auto items_out = u64_field(j, "items_out");
-  auto busy_ns = u64_field(j, "busy_ns");
-  for (const auto* r : {&items_in, &items_out, &busy_ns}) {
-    if (!*r) return Err{"stage \"" + s.stage + "\": " + r->error()};
-  }
-  s.items_in = items_in.value();
-  s.items_out = items_out.value();
-  s.busy_ns = busy_ns.value();
+  util::JsonFields f(j, "stage entry");
+  f.required("stage", s.stage)
+      .required("items_in", s.items_in)
+      .required("items_out", s.items_out)
+      .required("busy_ns", s.busy_ns);
+  if (!f) return Err{f.error()};
+  if (s.stage.empty()) return Err{std::string("stage entry: missing stage name")};
   return s;
 }
 
@@ -123,7 +59,7 @@ util::Json RuntimeHeartbeat::heartbeat_json() const {
   o["schema"] = util::Json(std::string(kSchemaName));
   o["version"] = util::Json(kSchemaVersion);
   o["status"] = util::Json(status);
-  o["spec_fingerprint"] = util::Json(hex16(spec_fingerprint));
+  o["spec_fingerprint"] = util::Json(util::u64_to_hex(spec_fingerprint));
   util::JsonObject shard;
   shard["k"] = util::Json(static_cast<double>(shard_k));
   shard["n"] = util::Json(static_cast<double>(shard_n));
@@ -148,74 +84,56 @@ util::Json RuntimeHeartbeat::heartbeat_json() const {
 }
 
 Result<RuntimeHeartbeat> RuntimeHeartbeat::heartbeat_from_json(const util::Json& j) {
-  if (auto ok = expect_schema(j, kSchemaName, kSchemaVersion); !ok) return Err{ok.error()};
+  util::JsonFields f(j, "heartbeat");
+  std::string schema;
+  int version = 0;
+  f.required("schema", schema).required("version", version);
+  if (!f) return Err{f.error()};
+  if (schema != kSchemaName) return Err{"schema: expected \"" + std::string(kSchemaName) + "\""};
+  if (version != kSchemaVersion) return Err{"version: expected " + std::to_string(kSchemaVersion)};
+
   RuntimeHeartbeat h;
-  if (!j.at("status").is_string()) return Err{std::string("status: expected a string")};
-  h.status = j.at("status").as_string();
+  std::string fingerprint;
+  f.required("status", h.status).required("spec_fingerprint", fingerprint);
+  util::JsonFields shard = f.object("shard");
+  shard.required("k", h.shard_k).required("n", h.shard_n);
+  f.required("threads", h.threads)
+      .required("started_unix_ms", h.started_unix_ms)
+      .required("updated_unix_ms", h.updated_unix_ms)
+      .required("elapsed_ms", h.elapsed_ms)
+      .required("plans_total", h.plans_total)
+      .required("plans_done", h.plans_done)
+      .required("collector_lag", h.collector_lag)
+      .required("records", h.records)
+      .required("bytes_encoded", h.bytes_encoded)
+      .required("completion", h.completion)
+      .required("plans_per_sec", h.plans_per_sec)
+      .required("eta_ms", h.eta_ms)
+      .required("stages", h.stages, RuntimeStageSnapshot::stage_from_json);
+  if (!f) return Err{f.error()};
+
   if (h.status != "starting" && h.status != "running" && h.status != "done" &&
       h.status != "failed") {
     return Err{"status: unknown value \"" + h.status + "\""};
   }
-  auto fp = hex16_parse(j.at("spec_fingerprint"), "spec_fingerprint");
-  if (!fp) return Err{fp.error()};
+  auto fp = util::u64_from_hex(fingerprint);
+  if (!fp) return Err{"spec_fingerprint: " + fp.error()};
   h.spec_fingerprint = fp.value();
-  const util::Json& shard = j.at("shard");
-  auto k = u64_field(shard, "k");
-  auto n = u64_field(shard, "n");
-  if (!k || !n) return Err{std::string("shard: expected {k, n} numbers")};
-  if (n.value() < 1 || k.value() >= n.value()) {
+  if (h.shard_n < 1 || h.shard_k >= h.shard_n) {
     return Err{std::string("shard: require 0 <= k < n")};
   }
-  h.shard_k = static_cast<std::size_t>(k.value());
-  h.shard_n = static_cast<std::size_t>(n.value());
-  if (!j.at("threads").is_number() || j.at("threads").as_number() < 0) {
-    return Err{std::string("threads: expected a non-negative number")};
-  }
-  h.threads = static_cast<int>(j.at("threads").as_number());
-  auto started = u64_field(j, "started_unix_ms");
-  auto updated = u64_field(j, "updated_unix_ms");
-  if (!started) return Err{started.error()};
-  if (!updated) return Err{updated.error()};
-  if (updated.value() < started.value()) {
+  if (h.threads < 0) return Err{std::string("threads: expected a non-negative number")};
+  if (h.updated_unix_ms < h.started_unix_ms) {
     return Err{std::string("updated_unix_ms earlier than started_unix_ms")};
   }
-  h.started_unix_ms = started.value();
-  h.updated_unix_ms = updated.value();
-  auto elapsed = ms_field(j, "elapsed_ms");
-  if (!elapsed) return Err{elapsed.error()};
-  h.elapsed_ms = elapsed.value();
-  auto plans_total = u64_field(j, "plans_total");
-  auto plans_done = u64_field(j, "plans_done");
-  auto lag = u64_field(j, "collector_lag");
-  auto records = u64_field(j, "records");
-  auto bytes = u64_field(j, "bytes_encoded");
-  for (const auto* r : {&plans_total, &plans_done, &lag, &records, &bytes}) {
-    if (!*r) return Err{r->error()};
-  }
-  if (plans_done.value() > plans_total.value()) {
-    return Err{std::string("plans_done exceeds plans_total")};
-  }
-  h.plans_total = plans_total.value();
-  h.plans_done = plans_done.value();
-  h.collector_lag = lag.value();
-  h.records = records.value();
-  h.bytes_encoded = bytes.value();
-  if (!j.at("completion").is_number() || j.at("completion").as_number() < 0 ||
-      j.at("completion").as_number() > 1) {
+  if (h.plans_done > h.plans_total) return Err{std::string("plans_done exceeds plans_total")};
+  if (!(h.completion >= 0 && h.completion <= 1)) {
     return Err{std::string("completion: expected a number in [0, 1]")};
   }
-  h.completion = j.at("completion").as_number();
-  auto rate = ms_field(j, "plans_per_sec");
-  auto eta = ms_field(j, "eta_ms");
-  if (!rate) return Err{rate.error()};
-  if (!eta) return Err{eta.error()};
-  h.plans_per_sec = rate.value();
-  h.eta_ms = eta.value();
-  if (!j.at("stages").is_array()) return Err{std::string("stages: expected an array")};
-  for (const util::Json& row : j.at("stages").as_array()) {
-    auto s = RuntimeStageSnapshot::stage_from_json(row);
-    if (!s) return Err{s.error()};
-    h.stages.push_back(std::move(s).value());
+  for (const auto& [key, value] : {std::pair{"elapsed_ms", h.elapsed_ms},
+                                   std::pair{"plans_per_sec", h.plans_per_sec},
+                                   std::pair{"eta_ms", h.eta_ms}}) {
+    if (value < 0) return Err{std::string(key) + ": expected a non-negative number"};
   }
   return h;
 }
@@ -228,8 +146,8 @@ util::Json RunManifest::manifest_json() const {
   util::JsonObject o;
   o["schema"] = util::Json(std::string(kSchemaName));
   o["version"] = util::Json(kSchemaVersion);
-  o["spec_fingerprint"] = util::Json(hex16(spec_fingerprint));
-  o["seed"] = util::Json(hex16(seed));
+  o["spec_fingerprint"] = util::Json(util::u64_to_hex(spec_fingerprint));
+  o["seed"] = util::Json(util::u64_to_hex(seed));
   util::JsonObject shard;
   shard["k"] = util::Json(static_cast<double>(shard_k));
   shard["n"] = util::Json(static_cast<double>(shard_n));
@@ -252,66 +170,51 @@ util::Json RunManifest::manifest_json() const {
 }
 
 Result<RunManifest> RunManifest::manifest_from_json(const util::Json& j) {
-  if (auto ok = expect_schema(j, kSchemaName, kSchemaVersion); !ok) return Err{ok.error()};
+  util::JsonFields f(j, "run manifest");
+  std::string schema;
+  int version = 0;
+  f.required("schema", schema).required("version", version);
+  if (!f) return Err{f.error()};
+  if (schema != kSchemaName) return Err{"schema: expected \"" + std::string(kSchemaName) + "\""};
+  if (version != kSchemaVersion) return Err{"version: expected " + std::to_string(kSchemaVersion)};
+
   RunManifest m;
-  auto fp = hex16_parse(j.at("spec_fingerprint"), "spec_fingerprint");
-  auto seed = hex16_parse(j.at("seed"), "seed");
-  if (!fp) return Err{fp.error()};
-  if (!seed) return Err{seed.error()};
+  std::string fingerprint;
+  std::string seed;
+  f.required("spec_fingerprint", fingerprint).required("seed", seed);
+  util::JsonFields shard = f.object("shard");
+  shard.required("k", m.shard_k).required("n", m.shard_n);
+  f.required("total_shards", m.total_shards)
+      .required("plans", m.plans)
+      .required("threads", m.threads)
+      .required("status", m.status)
+      .required("started_unix_ms", m.started_unix_ms)
+      .required("finished_unix_ms", m.finished_unix_ms)
+      .required("wall_ms", m.wall_ms)
+      .required("records", m.records)
+      .required("pings", m.pings)
+      .required("bytes_encoded", m.bytes_encoded)
+      .required("stages", m.stages, RuntimeStageSnapshot::stage_from_json);
+  if (!f) return Err{f.error()};
+
+  auto fp = util::u64_from_hex(fingerprint);
+  if (!fp) return Err{"spec_fingerprint: " + fp.error()};
   m.spec_fingerprint = fp.value();
-  m.seed = seed.value();
-  const util::Json& shard = j.at("shard");
-  auto k = u64_field(shard, "k");
-  auto n = u64_field(shard, "n");
-  if (!k || !n) return Err{std::string("shard: expected {k, n} numbers")};
-  if (n.value() < 1 || k.value() >= n.value()) {
+  auto parsed_seed = util::u64_from_hex(seed);
+  if (!parsed_seed) return Err{"seed: " + parsed_seed.error()};
+  m.seed = parsed_seed.value();
+  if (m.shard_n < 1 || m.shard_k >= m.shard_n) {
     return Err{std::string("shard: require 0 <= k < n")};
   }
-  m.shard_k = static_cast<std::size_t>(k.value());
-  m.shard_n = static_cast<std::size_t>(n.value());
-  auto total_shards = u64_field(j, "total_shards");
-  auto plans = u64_field(j, "plans");
-  if (!total_shards) return Err{total_shards.error()};
-  if (!plans) return Err{plans.error()};
-  m.total_shards = static_cast<std::size_t>(total_shards.value());
-  m.plans = static_cast<std::size_t>(plans.value());
   if (m.plans > m.total_shards) return Err{std::string("plans exceeds total_shards")};
-  if (!j.at("threads").is_number() || j.at("threads").as_number() < 0) {
-    return Err{std::string("threads: expected a non-negative number")};
-  }
-  m.threads = static_cast<int>(j.at("threads").as_number());
-  if (!j.at("status").is_string()) return Err{std::string("status: expected a string")};
-  m.status = j.at("status").as_string();
+  if (m.threads < 0) return Err{std::string("threads: expected a non-negative number")};
   if (m.status != "ok" && m.status != "failed") {
     return Err{"status: unknown value \"" + m.status + "\""};
   }
-  auto started = u64_field(j, "started_unix_ms");
-  auto finished = u64_field(j, "finished_unix_ms");
-  if (!started) return Err{started.error()};
-  if (!finished) return Err{finished.error()};
-  if (finished.value() < started.value()) {
+  if (m.finished_unix_ms < m.started_unix_ms) {
     return Err{std::string("finished_unix_ms earlier than started_unix_ms")};
   }
-  m.started_unix_ms = started.value();
-  m.finished_unix_ms = finished.value();
-  auto wall = ms_field(j, "wall_ms");
-  if (!wall) return Err{wall.error()};
-  m.wall_ms = wall.value();
-  auto records = u64_field(j, "records");
-  auto pings = u64_field(j, "pings");
-  auto bytes = u64_field(j, "bytes_encoded");
-  for (const auto* r : {&records, &pings, &bytes}) {
-    if (!*r) return Err{r->error()};
-  }
-  m.records = records.value();
-  m.pings = pings.value();
-  m.bytes_encoded = bytes.value();
-  if (!j.at("stages").is_array()) return Err{std::string("stages: expected an array")};
-  for (const util::Json& row : j.at("stages").as_array()) {
-    auto s = RuntimeStageSnapshot::stage_from_json(row);
-    if (!s) return Err{s.error()};
-    m.stages.push_back(std::move(s).value());
-  }
+  if (m.wall_ms < 0) return Err{std::string("wall_ms: expected a non-negative number")};
   return m;
 }
 
@@ -388,7 +291,7 @@ util::Json campaign_manifest_json(const std::vector<RunManifest>& manifests) {
     shard_rows.push_back(util::Json(std::move(row)));
   }
   if (!manifests.empty()) {
-    o["spec_fingerprint"] = util::Json(hex16(manifests.front().spec_fingerprint));
+    o["spec_fingerprint"] = util::Json(util::u64_to_hex(manifests.front().spec_fingerprint));
     o["shard_count"] = util::Json(static_cast<double>(manifests.size()));
     o["total_shards"] = util::Json(static_cast<double>(manifests.front().total_shards));
   }

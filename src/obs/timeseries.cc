@@ -132,36 +132,22 @@ util::Json SeriesPoint::to_json() const {
 }
 
 Result<SeriesPoint> SeriesPoint::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("series point: not an object")};
   SeriesPoint p;
-  if (!j.at("metric").is_string() || !j.at("vantage").is_string() ||
-      !j.at("resolver").is_string() || !j.at("protocol").is_string() ||
-      !j.at("kind").is_string() || !j.at("bucket").is_number()) {
-    return Err{std::string("series point: missing required fields")};
-  }
-  p.metric = j.at("metric").as_string();
-  p.vantage = j.at("vantage").as_string();
-  p.resolver = j.at("resolver").as_string();
-  p.protocol = j.at("protocol").as_string();
-  p.kind = j.at("kind").as_string();
-  p.bucket = static_cast<std::int64_t>(j.at("bucket").as_number());
-  if (j.at("value").is_number()) p.value = j.at("value").as_number();
-  if (j.at("count").is_number()) p.count = static_cast<std::uint64_t>(j.at("count").as_number());
-  if (j.at("mean").is_number()) p.mean = j.at("mean").as_number();
-  if (j.at("m2").is_number()) p.m2 = j.at("m2").as_number();
-  if (j.at("min").is_number()) p.min = j.at("min").as_number();
-  if (j.at("max").is_number()) p.max = j.at("max").as_number();
-  if (j.at("bins").is_array()) {
-    for (const util::Json& e : j.at("bins").as_array()) {
-      if (!e.is_array() || e.as_array().size() != 2 || !e.as_array()[0].is_number() ||
-          !e.as_array()[1].is_number()) {
-        return Err{std::string("series point: bins entries must be [bin, count] pairs")};
-      }
-      p.bins.emplace_back(static_cast<std::uint32_t>(e.as_array()[0].as_number()),
-                          static_cast<std::uint64_t>(e.as_array()[1].as_number()));
-    }
-  }
-  return p;
+  util::JsonFields f(j, "series point");
+  f.required("metric", p.metric)
+      .required("vantage", p.vantage)
+      .required("resolver", p.resolver)
+      .required("protocol", p.protocol)
+      .required("kind", p.kind)
+      .required("bucket", p.bucket)
+      .optional("value", p.value)
+      .optional("count", p.count)
+      .optional("mean", p.mean)
+      .optional("m2", p.m2)
+      .optional("min", p.min)
+      .optional("max", p.max)
+      .optional("bins", p.bins);
+  return f.result(std::move(p));
 }
 
 // -- TimeSeries writes --------------------------------------------------------
@@ -397,11 +383,13 @@ Result<TimeSeries> TimeSeries::read_jsonl(std::string_view text) {
     auto parsed = util::Json::parse(line);
     if (!parsed) return Err{std::string("timeseries: ") + parsed.error()};
     const util::Json& j = parsed.value();
-    if (j.is_object() && j.at("kind").is_string() && j.at("kind").as_string() == "header") {
-      if (j.at("bucket_width").is_number()) {
-        ts.bucket_width_ = static_cast<std::int64_t>(j.at("bucket_width").as_number());
-        if (ts.bucket_width_ <= 0) return Err{std::string("timeseries: bucket_width must be > 0")};
-      }
+    std::string kind;
+    util::JsonFields header(j, "timeseries header");
+    header.optional("kind", kind);
+    if (kind == "header") {
+      header.optional("bucket_width", ts.bucket_width_);
+      if (!header) return Err{header.error()};
+      if (ts.bucket_width_ <= 0) return Err{std::string("timeseries: bucket_width must be > 0")};
       saw_header = true;
       continue;
     }

@@ -2,35 +2,9 @@
 
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 namespace ednsm::obs {
-
-namespace {
-
-// Minimal JSON string escape for trace labels (subsystem/name literals and
-// vantage ids; kept self-contained so obs does not link the core JSON DOM).
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void Tracer::enable(std::size_t capacity) {
   if (capacity == 0) capacity = 1;
@@ -131,40 +105,26 @@ util::Json TraceData::to_json() const {
 }
 
 Result<TraceData> TraceData::from_json(const util::Json& j) {
-  if (!j.is_object()) return Err{std::string("trace data: not an object")};
+  using Symbol = util::InternTable::Symbol;
   TraceData out;
-  if (!j.at("symbols").is_array() || !j.at("events").is_array()) {
-    return Err{std::string("trace data: missing symbols/events arrays")};
-  }
-  for (const util::Json& s : j.at("symbols").as_array()) {
-    if (!s.is_string()) return Err{std::string("trace data: symbols must be strings")};
-    (void)out.symbols.intern(s.as_string());
-  }
-  if (j.at("emitted").is_number()) {
-    out.emitted = static_cast<std::uint64_t>(j.at("emitted").as_number());
-  }
-  if (j.at("dropped").is_number()) {
-    out.dropped = static_cast<std::uint64_t>(j.at("dropped").as_number());
-  }
-  out.events.reserve(j.at("events").as_array().size());
-  for (const util::Json& e : j.at("events").as_array()) {
-    if (!e.is_array() || e.as_array().size() != 5) {
-      return Err{std::string("trace data: event must be a 5-tuple")};
+  std::vector<std::string> symbols;
+  // [ts_us, dur_us, subsystem, name, kind]
+  std::vector<std::tuple<std::int64_t, std::int64_t, Symbol, Symbol, std::uint8_t>> events;
+  util::JsonFields f(j, "trace data");
+  f.required("symbols", symbols)
+      .optional("emitted", out.emitted)
+      .optional("dropped", out.dropped)
+      .required("events", events);
+  if (!f) return Err{f.error()};
+  for (const std::string& s : symbols) (void)out.symbols.intern(s);
+  out.events.reserve(events.size());
+  for (const auto& [ts, dur, subsystem, name, kind] : events) {
+    if (subsystem >= out.symbols.size() || name >= out.symbols.size()) {
+      return Err{std::string("trace data: events: event references unknown symbol")};
     }
-    const util::JsonArray& t = e.as_array();
-    for (const util::Json& field : t) {
-      if (!field.is_number()) return Err{std::string("trace data: event fields must be numbers")};
-    }
-    TraceEvent ev;
-    ev.ts = netsim::SimTime(static_cast<std::int64_t>(t[0].as_number()));
-    ev.dur = netsim::SimDuration(static_cast<std::int64_t>(t[1].as_number()));
-    ev.subsystem = static_cast<util::InternTable::Symbol>(t[2].as_number());
-    ev.name = static_cast<util::InternTable::Symbol>(t[3].as_number());
-    ev.kind = t[4].as_number() != 0 ? EventKind::Complete : EventKind::Instant;
-    if (ev.subsystem >= out.symbols.size() || ev.name >= out.symbols.size()) {
-      return Err{std::string("trace data: event references unknown symbol")};
-    }
-    out.events.push_back(ev);
+    if (kind > 1) return Err{std::string("trace data: events: event kind must be 0 or 1")};
+    out.events.push_back(TraceEvent{netsim::SimTime(ts), netsim::SimDuration(dur), subsystem, name,
+                                    kind == 1 ? EventKind::Complete : EventKind::Instant});
   }
   return out;
 }
@@ -193,7 +153,7 @@ void MergedTrace::write_chrome_json(std::ostream& os, std::string_view subsystem
     const std::uint64_t tid = si + 1;
     os << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":" << tid
        << ",\"args\":{\"name\":";
-    write_escaped(os, shards_[si].label);
+    os << util::json_quote(shards_[si].label);
     os << "}}";
   }
   for (std::size_t si = 0; si < shards_.size(); ++si) {
@@ -203,9 +163,9 @@ void MergedTrace::write_chrome_json(std::ostream& os, std::string_view subsystem
       const std::string& subsystem = shard.data.symbols.name(e.subsystem);
       if (!subsystem_filter.empty() && subsystem != subsystem_filter) continue;
       os << ",\n{\"ph\":\"" << (e.kind == EventKind::Complete ? 'X' : 'i') << "\",\"name\":";
-      write_escaped(os, shard.data.symbols.name(e.name));
+      os << util::json_quote(shard.data.symbols.name(e.name));
       os << ",\"cat\":";
-      write_escaped(os, subsystem);
+      os << util::json_quote(subsystem);
       os << ",\"ts\":" << e.ts.count();
       if (e.kind == EventKind::Complete) {
         os << ",\"dur\":" << e.dur.count();

@@ -36,6 +36,21 @@ bool from_hex(std::string_view hex, Bytes& out) {
   return true;
 }
 
+std::string u64_to_hex(std::uint64_t v) {
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHexDigits[v & 0x0f];
+  return out;
+}
+
+Result<std::uint64_t> u64_from_hex(std::string_view s) {
+  if (s.size() != 16 || s.find_first_not_of(kHexDigits) != std::string_view::npos) {
+    return Err{"expected 16 lowercase hex digits: " + std::string(s)};
+  }
+  std::uint64_t v = 0;
+  for (const char c : s) v = (v << 4) | static_cast<std::uint64_t>(hex_value(c));
+  return v;
+}
+
 std::string as_string(std::span<const std::uint8_t> data) {
   return std::string(reinterpret_cast<const char*>(data.data()), data.size());
 }

@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/result.h"
 
 namespace ednsm::util {
 
@@ -16,6 +19,12 @@ using Bytes = std::vector<std::uint8_t>;
 
 // Inverse of to_hex; returns false on odd length or non-hex characters.
 [[nodiscard]] bool from_hex(std::string_view hex, Bytes& out);
+
+// A 64-bit value as exactly 16 lowercase hex digits, and back. JSON numbers
+// are doubles and cannot hold every 64-bit value, so seeds and fingerprints
+// travel in files as these strings.
+[[nodiscard]] std::string u64_to_hex(std::uint64_t v);
+[[nodiscard]] Result<std::uint64_t> u64_from_hex(std::string_view s);
 
 // Interpret a byte span as text (for HTTP bodies and test assertions).
 [[nodiscard]] std::string as_string(std::span<const std::uint8_t> data);

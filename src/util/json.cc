@@ -180,7 +180,7 @@ struct Parser {
 
 }  // namespace
 
-const Json& Json::at(const std::string& key) const {
+const Json& Json::at(std::string_view key) const {
   if (!is_object()) return kNull;
   const auto it = as_object().find(key);
   return it == as_object().end() ? kNull : it->second;
@@ -199,6 +199,71 @@ Result<Json> Json::parse(std::string_view text) {
   p.skip_ws();
   if (p.pos != text.size()) return Err{std::string("json: trailing characters")};
   return v;
+}
+
+// ---- field reader -------------------------------------------------------------
+
+namespace json_read {
+
+std::string read(const Json& v, bool& out) {
+  if (!v.is_bool()) return " must be a boolean";
+  out = v.as_bool();
+  return {};
+}
+
+std::string read(const Json& v, double& out) {
+  if (!v.is_number()) return " must be a number";
+  out = v.as_number();
+  return {};
+}
+
+std::string read(const Json& v, std::string& out) {
+  if (!v.is_string()) return " must be a string";
+  out = v.as_string();
+  return {};
+}
+
+}  // namespace json_read
+
+JsonFields::JsonFields(const Json& j, std::string_view what) : what_(what) {
+  if (j.is_object()) {
+    fields_ = &j.as_object();
+  } else {
+    own_error_ = what_ + ": not an object";
+  }
+}
+
+JsonFields::JsonFields(JsonFields& parent, std::string_view key)
+    : what_(parent.what_ + ": " + std::string(key)), error_(parent.error_) {
+  const Json* j = parent.find(key, false);
+  if (j == nullptr) return;
+  if (j->is_object()) {
+    fields_ = &j->as_object();
+  } else {
+    parent.fail(key, " must be an object");
+  }
+}
+
+JsonFields JsonFields::object(std::string_view key) { return JsonFields(*this, key); }
+
+const Json* JsonFields::find(std::string_view key, bool required) {
+  if (!error_->empty()) return nullptr;
+  if (fields_ != nullptr) {
+    const auto it = fields_->find(key);
+    if (it != fields_->end() && !it->second.is_null()) return &it->second;
+  }
+  if (required) *error_ = what_ + ": missing " + std::string(key);
+  return nullptr;
+}
+
+void JsonFields::fail(std::string_view key, std::string_view problem) {
+  if (error_->empty()) *error_ = what_ + ": " + std::string(key) + std::string(problem);
+}
+
+std::string json_quote(std::string_view s) {
+  JsonWriter w;
+  w.value(s);
+  return std::move(w).take();
 }
 
 // ---- writer -----------------------------------------------------------------

@@ -61,6 +61,14 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::vector<std::string> split_list(std::string_view csv) {
+  std::vector<std::string> out;
+  for (const std::string_view part : split(csv, ',')) {
+    if (!part.empty()) out.emplace_back(part);
+  }
+  return out;
+}
+
 bool parse_u64(std::string_view s, unsigned long long& out) noexcept {
   if (s.empty()) return false;
   unsigned long long acc = 0;

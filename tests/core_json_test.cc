@@ -3,7 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <tuple>
+#include <vector>
 
 #include "util/json.h"
 
@@ -352,6 +356,177 @@ TEST(JsonWriter, StreamReceivesBytesPastFlushThreshold) {
   EXPECT_LT(written_before_end, 200 * chunk.size());
   streamed.flush();
   EXPECT_EQ(os.str(), std::move(buffered).take());
+}
+
+// ---- JsonFields --------------------------------------------------------------
+
+Json parse_ok(std::string_view text) {
+  auto j = Json::parse(text);
+  if (!j) throw std::logic_error(j.error());
+  return std::move(j).value();
+}
+
+struct Inner {
+  int n = 0;
+  static Result<Inner> from_json(const Json& j) {
+    Inner in;
+    JsonFields f(j, "inner");
+    f.required("n", in.n);
+    return f.result(in);
+  }
+};
+
+TEST(JsonFields, AbsentAndNullKeepDefaults) {
+  int a = 5;
+  double b = 1.5;
+  std::string c = "keep";
+  std::optional<int> d;
+  const Json j = parse_ok(R"({"b": null})");
+  JsonFields f(j, "thing");
+  f.optional("a", a).optional("b", b).optional("c", c).optional("d", d);
+  ASSERT_TRUE(f) << f.error();
+  EXPECT_EQ(a, 5);
+  EXPECT_EQ(b, 1.5);
+  EXPECT_EQ(c, "keep");
+  EXPECT_FALSE(d.has_value());
+}
+
+TEST(JsonFields, ReadsEveryKind) {
+  const Json j = parse_ok(
+      R"({"b": true, "d": 2.5, "s": "x", "u": 18446744073709549568, "i": -2147483648,
+          "v": ["p", "q"], "t": ["k", 3], "in": {"n": 4}, "ins": [{"n": 1}, {"n": 2}],
+          "o": 9})");
+  bool b = false;
+  double d = 0;
+  std::string s;
+  std::uint64_t u = 0;
+  int i = 0;
+  std::vector<std::string> v = {"default"};
+  std::pair<std::string, std::uint8_t> t;
+  Inner in;
+  std::vector<Inner> ins;
+  std::optional<std::int64_t> o;
+  JsonFields f(j, "thing");
+  f.required("b", b).required("d", d).required("s", s).required("u", u).required("i", i);
+  f.required("v", v).required("t", t).required("in", in).required("ins", ins).optional("o", o);
+  ASSERT_TRUE(f) << f.error();
+  EXPECT_TRUE(b);
+  EXPECT_EQ(d, 2.5);
+  EXPECT_EQ(s, "x");
+  EXPECT_EQ(u, 18446744073709549568ull);  // the largest double below 2^64
+  EXPECT_EQ(i, std::numeric_limits<int>::min());
+  EXPECT_EQ(v, (std::vector<std::string>{"p", "q"}));
+  EXPECT_EQ(t, (std::pair<std::string, std::uint8_t>{"k", 3}));
+  EXPECT_EQ(in.n, 4);
+  ASSERT_EQ(ins.size(), 2u);
+  EXPECT_EQ(ins[1].n, 2);
+  EXPECT_EQ(o, 9);
+}
+
+TEST(JsonFields, ErrorsNameObjectAndKey) {
+  const auto first_error = [](std::string_view text, auto read) {
+    const Json j = parse_ok(text);
+    JsonFields f(j, "thing");
+    read(f);
+    EXPECT_FALSE(f);
+    return f.error();
+  };
+  int n = 0;
+  std::string s;
+  std::vector<int> v;
+  std::tuple<int, int> t;
+  Inner in;
+  EXPECT_EQ(first_error("{}", [&](JsonFields& f) { f.required("n", n); }), "thing: missing n");
+  EXPECT_EQ(first_error(R"({"n": null})", [&](JsonFields& f) { f.required("n", n); }),
+            "thing: missing n");
+  EXPECT_EQ(first_error(R"({"n": "1"})", [&](JsonFields& f) { f.optional("n", n); }),
+            "thing: n must be a number");
+  EXPECT_EQ(first_error(R"({"n": 1e300})", [&](JsonFields& f) { f.optional("n", n); }),
+            "thing: n must be an integer in range");
+  EXPECT_EQ(first_error(R"({"n": 0.5})", [&](JsonFields& f) { f.optional("n", n); }),
+            "thing: n must be an integer in range");
+  EXPECT_EQ(first_error(R"({"s": 1})", [&](JsonFields& f) { f.optional("s", s); }),
+            "thing: s must be a string");
+  EXPECT_EQ(first_error(R"({"v": [1, null]})", [&](JsonFields& f) { f.optional("v", v); }),
+            "thing: v[1] must be a number");
+  EXPECT_EQ(first_error(R"({"t": [1]})", [&](JsonFields& f) { f.optional("t", t); }),
+            "thing: t must be an array of 2");
+  EXPECT_EQ(first_error(R"({"t": [1, -1e300]})", [&](JsonFields& f) { f.optional("t", t); }),
+            "thing: t[1] must be an integer in range");
+  EXPECT_EQ(first_error(R"({"in": {"n": true}})", [&](JsonFields& f) { f.optional("in", in); }),
+            "thing: in: inner: n must be a number");
+  EXPECT_EQ(first_error("[]", [&](JsonFields& f) { f.optional("n", n); }),
+            "thing: not an object");
+}
+
+TEST(JsonFields, FirstErrorSticks) {
+  int a = 1;
+  int b = 2;
+  const Json j = parse_ok(R"({"a": "x", "b": 7})");
+  JsonFields f(j, "thing");
+  f.optional("a", a).optional("b", b).required("c", a);
+  EXPECT_EQ(f.error(), "thing: a must be a number");
+  EXPECT_EQ(b, 2);  // reads after the error do nothing
+  EXPECT_FALSE(f.result(0).has_value());
+}
+
+TEST(JsonFields, NestedObjectReportsIntoParent) {
+  std::size_t k = 0;
+  std::size_t n = 0;
+  {
+    const Json j = parse_ok(R"({"slice": {"k": 1, "n": 3}})");
+    JsonFields f(j, "file");
+    JsonFields slice = f.object("slice");
+    slice.required("k", k).required("n", n);
+    ASSERT_TRUE(f) << f.error();
+    EXPECT_EQ(k, 1u);
+    EXPECT_EQ(n, 3u);
+  }
+  {
+    const Json j = parse_ok(R"({"slice": {"k": -1}})");
+    JsonFields f(j, "file");
+    JsonFields slice = f.object("slice");
+    slice.required("k", k);
+    EXPECT_EQ(f.error(), "file: slice: k must be an integer in range");
+  }
+  {
+    const Json j = parse_ok("{}");
+    JsonFields f(j, "file");
+    JsonFields slice = f.object("slice");
+    slice.optional("k", k);
+    EXPECT_TRUE(f);  // an absent object reads as one with no fields
+    slice.required("n", n);
+    EXPECT_EQ(f.error(), "file: slice: missing n");
+  }
+  {
+    const Json j = parse_ok(R"({"slice": 4})");
+    JsonFields f(j, "file");
+    JsonFields slice = f.object("slice");
+    EXPECT_EQ(f.error(), "file: slice must be an object");
+  }
+}
+
+TEST(JsonFields, DecodeCallbackElements) {
+  const auto shout = [](const Json& e) -> Result<std::string> {
+    if (!e.is_string()) return Err{std::string("not a word")};
+    return e.as_string() + "!";
+  };
+  std::vector<std::string> words;
+  const Json ok_json = parse_ok(R"({"xs": ["a", "b"]})");
+  JsonFields ok(ok_json, "thing");
+  ok.required("xs", words, shout);
+  ASSERT_TRUE(ok) << ok.error();
+  EXPECT_EQ(words, (std::vector<std::string>{"a!", "b!"}));
+  const Json bad_json = parse_ok(R"({"xs": ["a", 3]})");
+  JsonFields bad(bad_json, "thing");
+  bad.required("xs", words, shout);
+  EXPECT_EQ(bad.error(), "thing: xs[1]: not a word");
+}
+
+TEST(Json, QuoteMatchesWriterEscaping) {
+  const std::string raw = std::string("a\"b\\c\n\x01\x1f") + "\b\f";
+  EXPECT_EQ(json_quote(raw), Json(raw).dump());
+  EXPECT_EQ(json_quote("plain"), "\"plain\"");
 }
 
 }  // namespace

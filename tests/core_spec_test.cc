@@ -228,5 +228,16 @@ TEST(Spec, FromJsonRejectsHostileNumbers) {
   }
 }
 
+// An in-range integer can still overflow the microsecond clock once scaled.
+TEST(Spec, FromJsonRejectsOverflowingRoundInterval) {
+  for (const double seconds : {1e13, -1e13, -9223372036854775808.0}) {
+    util::Json j = small_spec().to_json();
+    j.as_object()["round_interval_s"] = util::Json(seconds);
+    const auto parsed = MeasurementSpec::from_json(j);
+    ASSERT_FALSE(parsed.has_value()) << seconds;
+    EXPECT_NE(parsed.error().find("round_interval_s"), std::string::npos) << parsed.error();
+  }
+}
+
 }  // namespace
 }  // namespace ednsm::core

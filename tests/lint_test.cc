@@ -323,7 +323,7 @@ TEST(LintTree, RemovingCodecReaderFieldFails) {
   bool mutated = false;
   for (SourceFile& f : files) {
     if (!f.path.ends_with("core/spec.cc")) continue;
-    const std::string line = "if (j.at(\"rtt_ms\").is_number()) p.rtt_ms = j.at(\"rtt_ms\").as_number();";
+    const std::string line = "\n      .optional(\"rtt_ms\", p.rtt_ms)";
     const std::size_t pos = f.content.find(line);
     ASSERT_NE(pos, std::string::npos) << "reader line not found in core/spec.cc";
     f.content.erase(pos, line.size());

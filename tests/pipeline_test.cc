@@ -19,6 +19,7 @@
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
 #include "encode_util.h"
+#include "util/bytes.h"
 
 namespace ednsm::core {
 namespace {
@@ -282,20 +283,6 @@ TEST(Pipeline, RunPipelineClampsThreadsToPlanCount) {
 // Shard-file round trip and corruption rejection.
 // ---------------------------------------------------------------------------
 
-TEST(ShardIo, HexRoundTrip) {
-  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xdeadbeef},
-                                ~std::uint64_t{0}}) {
-    const std::string hex = u64_to_hex(v);
-    EXPECT_EQ(hex.size(), 16u);
-    const auto back = u64_from_hex(hex);
-    ASSERT_TRUE(back.has_value()) << hex;
-    EXPECT_EQ(back.value(), v);
-  }
-  EXPECT_FALSE(u64_from_hex("").has_value());
-  EXPECT_FALSE(u64_from_hex("123").has_value());             // wrong width
-  EXPECT_FALSE(u64_from_hex("00000000000000zz").has_value());  // non-hex
-}
-
 ShardFile make_shard_file(const MeasurementSpec& spec, const ShardSlice& slice,
                           const CampaignObsOptions& obs) {
   const auto plans = expand_spec(spec);
@@ -346,7 +333,7 @@ TEST(ShardIo, FromJsonRejectsTampering) {
   }
   {
     util::Json j = test::as_dom(file);
-    j.as_object()["spec_fingerprint"] = u64_to_hex(0);  // fingerprint/spec mismatch
+    j.as_object()["spec_fingerprint"] = util::u64_to_hex(0);  // fingerprint/spec mismatch
     EXPECT_FALSE(ShardFile::from_json(j).has_value());
   }
   {

@@ -120,6 +120,22 @@ TEST(Bytes, FromHexRejectsNonHex) {
   EXPECT_FALSE(util::from_hex("zz", out));
 }
 
+TEST(Bytes, U64HexRoundTrip) {
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xdeadbeef},
+                                ~std::uint64_t{0}}) {
+    const std::string hex = util::u64_to_hex(v);
+    EXPECT_EQ(hex.size(), 16u);
+    const auto back = util::u64_from_hex(hex);
+    ASSERT_TRUE(back.has_value()) << hex;
+    EXPECT_EQ(back.value(), v);
+  }
+  EXPECT_EQ(util::u64_to_hex(0x0123456789abcdefULL), "0123456789abcdef");
+  EXPECT_FALSE(util::u64_from_hex("").has_value());
+  EXPECT_FALSE(util::u64_from_hex("123").has_value());               // wrong width
+  EXPECT_FALSE(util::u64_from_hex("00000000000000zz").has_value());  // non-hex
+  EXPECT_FALSE(util::u64_from_hex("00000000DEADBEEF").has_value());  // uppercase
+}
+
 TEST(Bytes, StringConversions) {
   const util::Bytes b = util::to_bytes("hello");
   EXPECT_EQ(util::as_string(b), "hello");

@@ -33,7 +33,6 @@
 // Exit codes: 0 ok, 1 bad usage (including --threads below 1), 3 I/O error.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "core/parallel_campaign.h"
+#include "flags.h"
 #include "lint/lint.h"
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
@@ -53,14 +53,6 @@
 using namespace ednsm;
 
 namespace {
-
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (std::string_view part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
 
 // ednsm-lint: allow(determinism-wallclock) — harness-side wall timing of
 // the simulation; never feeds simulated results.
@@ -123,28 +115,16 @@ int main(int argc, char** argv) {
   std::vector<std::string> vantages = {"home-chicago-1", "ec2-ohio", "ec2-frankfurt",
                                        "ec2-seoul"};
   if (const auto it = options.find("vantages"); it != options.end()) {
-    vantages = split_list(it->second);
+    vantages = util::split_list(it->second);
   }
   int rounds = suite == "monitor" ? 3 : 30;
-  if (const auto it = options.find("rounds"); it != options.end()) {
-    rounds = std::atoi(it->second.c_str());
-  }
   std::uint64_t seed = 20250704;
-  if (const auto it = options.find("seed"); it != options.end()) {
-    seed = std::strtoull(it->second.c_str(), nullptr, 10);
-  }
   int threads = 1;
-  if (const auto it = options.find("threads"); it != options.end()) {
-    threads = std::atoi(it->second.c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n",
-                   it->second.c_str());
-      return 1;
-    }
-  }
   int repeat = 1;
-  if (const auto it = options.find("repeat"); it != options.end()) {
-    repeat = std::max(1, std::atoi(it->second.c_str()));
+  if (!tools::count_flag(options, "rounds", rounds) || !tools::count_flag(options, "seed", seed) ||
+      !tools::count_flag(options, "threads", threads, 1) ||
+      !tools::count_flag(options, "repeat", repeat, 1)) {
+    return 1;
   }
 
   const bool trace_overhead = options.contains("trace-overhead");

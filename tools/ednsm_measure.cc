@@ -47,10 +47,10 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "core/parallel_campaign.h"
 #include "core/shard_io.h"
+#include "flags.h"
 #include "obs/runtime.h"
 #include "report/figures.h"
 #include "resolver/registry.h"
@@ -86,21 +86,11 @@ Result<Args> parse_args(int argc, char** argv) {
   return args;
 }
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (std::string_view part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
-
 Result<core::MeasurementSpec> build_spec(const Args& args) {
   if (const std::string* spec_path = args.get("spec")) {
-    std::ifstream in(*spec_path);
-    if (!in) return Err{std::string("cannot open spec file: ") + *spec_path};
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto json = util::Json::parse(buffer.str());
+    auto text = util::read_file(*spec_path);
+    if (!text) return Err{"cannot read spec file: " + text.error()};
+    auto json = util::Json::parse(text.value());
     if (!json) return Err{"spec file is not valid JSON: " + json.error()};
     return core::MeasurementSpec::from_json(json.value());
   }
@@ -109,19 +99,13 @@ Result<core::MeasurementSpec> build_spec(const Args& args) {
   if (args.all_resolvers) {
     for (const auto& s : resolver::paper_resolver_list()) spec.resolvers.push_back(s.hostname);
   } else if (const std::string* resolvers = args.get("resolvers")) {
-    spec.resolvers = split_list(*resolvers);
+    spec.resolvers = util::split_list(*resolvers);
   }
   if (const std::string* vantages = args.get("vantages")) {
-    spec.vantage_ids = split_list(*vantages);
+    spec.vantage_ids = util::split_list(*vantages);
   }
   if (const std::string* domains = args.get("domains")) {
-    spec.domains = split_list(*domains);
-  }
-  if (const std::string* rounds = args.get("rounds")) {
-    spec.rounds = std::atoi(rounds->c_str());
-  }
-  if (const std::string* seed = args.get("seed")) {
-    spec.seed = std::strtoull(seed->c_str(), nullptr, 10);
+    spec.domains = util::split_list(*domains);
   }
   if (const std::string* protocol = args.get("protocol")) {
     if (auto p = client::protocol_from_string(*protocol); p.has_value()) {
@@ -153,19 +137,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", spec.error().c_str());
     return 2;
   }
+  // Numeric flags override the flag-built spec; a malformed one is bad usage.
+  if (args.value().get("spec") == nullptr &&
+      (!tools::count_flag(args.value().options, "rounds", spec.value().rounds) ||
+       !tools::count_flag(args.value().options, "seed", spec.value().seed))) {
+    return 1;
+  }
   if (auto valid = spec.value().validate(); !valid) {
     std::fprintf(stderr, "invalid spec: %s\n", valid.error().c_str());
     return 2;
   }
 
   int threads = 1;
-  if (const std::string* t = args.value().get("threads")) {
-    threads = std::atoi(t->c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n", t->c_str());
-      return 1;
-    }
-  }
+  if (!tools::count_flag(args.value().options, "threads", threads, 1)) return 1;
 
   std::fprintf(stderr,
                "measuring %zu resolvers x %zu vantages x %d rounds over %s (%d threads)...\n",
@@ -178,14 +162,9 @@ int main(int argc, char** argv) {
   core::CampaignObsOptions obs_options;
   obs_options.trace = trace_path != nullptr;
   obs_options.metrics = metrics_path != nullptr;
-  if (const std::string* cap = args.value().get("trace-capacity")) {
-    const long long parsed = std::atoll(cap->c_str());
-    if (parsed < 1) {
-      std::fprintf(stderr, "error: --trace-capacity requires a positive integer (got %s)\n",
-                   cap->c_str());
-      return 1;
-    }
-    obs_options.trace_capacity = static_cast<std::size_t>(parsed);
+  if (!tools::count_flag(args.value().options, "trace-capacity", obs_options.trace_capacity,
+                         std::size_t{1})) {
+    return 1;
   }
   const std::string* filter = args.value().get("trace-filter");
   core::CampaignObsData obs_data;

@@ -27,17 +27,17 @@
 //
 // Exit codes: 0 ok, 1 bad usage, 2 invalid spec, 3 I/O error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "monitor/diagnose.h"
 #include "monitor/monitor.h"
 #include "monitor/prom.h"
 #include "resolver/registry.h"
+#include "util/fs.h"
 #include "util/strings.h"
 
 using namespace ednsm;
@@ -87,37 +87,27 @@ Result<Args> parse_args(int argc, char** argv) {
   return args;
 }
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  for (std::string_view part : util::split(csv, ',')) {
-    if (!part.empty()) out.emplace_back(part);
-  }
-  return out;
-}
-
 // "resolver:from:to" -> OutageScript (epochs [from, to) offline).
 Result<monitor::OutageScript> parse_outage(const std::string& text) {
+  const Err<std::string> usage{"--outage wants resolver:from:to (got " + text + ")"};
   const std::size_t first = text.rfind(':');
-  if (first == std::string::npos || first == 0) {
-    return Err{std::string("--outage wants resolver:from:to (got ") + text + ")"};
-  }
+  if (first == std::string::npos || first == 0) return usage;
   const std::size_t second = text.rfind(':', first - 1);
-  if (second == std::string::npos || second == 0) {
-    return Err{std::string("--outage wants resolver:from:to (got ") + text + ")"};
-  }
+  if (second == std::string::npos || second == 0) return usage;
+  auto from = util::parse_count(std::string_view(text).substr(second + 1, first - second - 1), 0);
+  auto to = util::parse_count(std::string_view(text).substr(first + 1), 0);
+  if (!from || !to) return usage;
   monitor::OutageScript script;
   script.resolver = text.substr(0, second);
-  script.from_epoch = std::atoi(text.substr(second + 1, first - second - 1).c_str());
-  script.to_epoch = std::atoi(text.substr(first + 1).c_str());
+  script.from_epoch = from.value();
+  script.to_epoch = to.value();
   return script;
 }
 
 Result<util::Json> load_json(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Err{std::string("cannot open ") + path};
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = util::Json::parse(buffer.str());
+  auto text = util::read_file(path);
+  if (!text) return Err{text.error()};
+  auto json = util::Json::parse(text.value());
   if (!json) return Err{path + " is not valid JSON: " + json.error()};
   return json;
 }
@@ -146,19 +136,13 @@ Result<monitor::MonitorSpec> build_spec(const Args& args) {
       spec.base.resolvers.push_back(s.hostname);
     }
   } else if (const std::string* resolvers = args.get("resolvers")) {
-    spec.base.resolvers = split_list(*resolvers);
+    spec.base.resolvers = util::split_list(*resolvers);
   }
   if (const std::string* vantages = args.get("vantages")) {
-    spec.base.vantage_ids = split_list(*vantages);
+    spec.base.vantage_ids = util::split_list(*vantages);
   }
   if (const std::string* domains = args.get("domains")) {
-    spec.base.domains = split_list(*domains);
-  }
-  if (const std::string* rounds = args.get("rounds")) {
-    spec.base.rounds = std::atoi(rounds->c_str());
-  }
-  if (const std::string* seed = args.get("seed")) {
-    spec.base.seed = std::strtoull(seed->c_str(), nullptr, 10);
+    spec.base.domains = util::split_list(*domains);
   }
   if (const std::string* protocol = args.get("protocol")) {
     if (auto p = client::protocol_from_string(*protocol); p.has_value()) {
@@ -167,18 +151,28 @@ Result<monitor::MonitorSpec> build_spec(const Args& args) {
       return Err{std::string("unknown protocol: ") + *protocol};
     }
   }
-  if (const std::string* epochs = args.get("epochs")) {
-    spec.epochs = std::atoi(epochs->c_str());
-  }
-  if (const std::string* window = args.get("window")) {
-    spec.slo.window_epochs = std::atoi(window->c_str());
+  return spec;
+}
+
+// The numeric and --outage flags of a flag-built spec; false (after printing
+// why) when one is malformed, which is bad usage rather than a bad spec.
+bool apply_run_flags(const Args& args, monitor::MonitorSpec& spec) {
+  if (args.get("spec") != nullptr) return true;
+  if (!tools::count_flag(args.options, "rounds", spec.base.rounds) ||
+      !tools::count_flag(args.options, "seed", spec.base.seed) ||
+      !tools::count_flag(args.options, "epochs", spec.epochs) ||
+      !tools::count_flag(args.options, "window", spec.slo.window_epochs)) {
+    return false;
   }
   for (const std::string& text : args.outages) {
     auto script = parse_outage(text);
-    if (!script) return Err{script.error()};
+    if (!script) {
+      std::fprintf(stderr, "error: %s\n", script.error().c_str());
+      return false;
+    }
     spec.outages.push_back(std::move(script).value());
   }
-  return spec;
+  return true;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -198,12 +192,9 @@ int cmd_run(const Args& args) {
     return 2;
   }
   int threads = 1;
-  if (const std::string* t = args.get("threads")) {
-    threads = std::atoi(t->c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n", t->c_str());
-      return 1;
-    }
+  if (!apply_run_flags(args, spec.value()) ||
+      !tools::count_flag(args.options, "threads", threads, 1)) {
+    return 1;
   }
 
   std::fprintf(stderr, "monitoring %zu resolvers x %zu vantages: %d epochs x %d rounds (%s)...\n",
@@ -298,28 +289,11 @@ int cmd_diagnose(const Args& args) {
     return 3;
   }
   int threads = 1;
-  if (const std::string* t = args.get("threads")) {
-    threads = std::atoi(t->c_str());
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads requires a positive integer (got %s)\n", t->c_str());
-      return 1;
-    }
-  }
   monitor::DiagnoseOptions opts;
-  if (const std::string* b = args.get("baseline")) {
-    opts.baseline_epochs = std::atoi(b->c_str());
-    if (opts.baseline_epochs < 1) {
-      std::fprintf(stderr, "error: --baseline requires a positive integer (got %s)\n", b->c_str());
-      return 1;
-    }
-  }
-  if (const std::string* n = args.get("exemplars")) {
-    const int count = std::atoi(n->c_str());
-    if (count < 0) {
-      std::fprintf(stderr, "error: --exemplars must be >= 0 (got %s)\n", n->c_str());
-      return 1;
-    }
-    opts.max_exemplars = static_cast<std::size_t>(count);
+  if (!tools::count_flag(args.options, "threads", threads, 1) ||
+      !tools::count_flag(args.options, "baseline", opts.baseline_epochs, 1) ||
+      !tools::count_flag(args.options, "exemplars", opts.max_exemplars)) {
+    return 1;
   }
 
   auto report = monitor::diagnose_events(result.value(), threads, opts);

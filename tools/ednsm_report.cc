@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "core/campaign.h"
 #include "core/recommend.h"
@@ -25,6 +24,8 @@
 #include "report/decomposition.h"
 #include "report/figures.h"
 #include "report/flight_recorder.h"
+#include "util/fs.h"
+#include "util/strings.h"
 #include "web/dashboard.h"
 
 using namespace ednsm;
@@ -53,14 +54,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", argv[1]);
+  auto text = util::read_file(argv[1]);
+  if (!text) {
+    std::fprintf(stderr, "error: %s\n", text.error().c_str());
     return 3;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = util::Json::parse(buffer.str());
+  auto json = util::Json::parse(text.value());
   if (!json) {
     std::fprintf(stderr, "error: %s\n", json.error().c_str());
     return 3;
@@ -85,14 +84,12 @@ int main(int argc, char** argv) {
     monitor::DiagnosisReport diagnoses;
     bool have_diagnoses = false;
     if (options.contains("diagnosis")) {
-      std::ifstream diag_in(options["diagnosis"]);
-      if (!diag_in) {
-        std::fprintf(stderr, "error: cannot open %s\n", options["diagnosis"].c_str());
+      auto diag_text = util::read_file(options["diagnosis"]);
+      if (!diag_text) {
+        std::fprintf(stderr, "error: %s\n", diag_text.error().c_str());
         return 3;
       }
-      std::stringstream diag_buffer;
-      diag_buffer << diag_in.rdbuf();
-      auto diag_json = util::Json::parse(diag_buffer.str());
+      auto diag_json = util::Json::parse(diag_text.value());
       if (!diag_json) {
         std::fprintf(stderr, "error: %s\n", diag_json.error().c_str());
         return 3;
@@ -190,15 +187,12 @@ int main(int argc, char** argv) {
   }
 
   if (options.contains("flight-recorder")) {
-    const int top_n = std::atoi(options["flight-recorder"].c_str());
-    if (top_n < 1) {
-      std::fprintf(stderr, "error: --flight-recorder takes a positive count (got %s)\n",
-                   options["flight-recorder"].c_str());
+    const auto top_n = util::parse_count(options["flight-recorder"], std::size_t{1});
+    if (!top_n) {
+      std::fprintf(stderr, "error: --flight-recorder: %s\n", top_n.error().c_str());
       return 1;
     }
-    std::printf("%s", report::render_flight_recorder(result.value(),
-                                                     static_cast<std::size_t>(top_n))
-                          .c_str());
+    std::printf("%s", report::render_flight_recorder(result.value(), top_n.value()).c_str());
     return 0;
   }
 

@@ -39,15 +39,14 @@
 // Exit codes: 0 valid, 1 bad usage, 2 validation failure, 3 I/O error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/runtime.h"
+#include "util/fs.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 using namespace ednsm;
 
@@ -120,14 +119,12 @@ bool check_nesting(const util::JsonArray& events) {
 // --heartbeat: validate one runtime-telemetry artifact. The schema field
 // routes to the matching strict parser; anything else is a failure.
 int check_heartbeat_file(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "trace-check: cannot open %s\n", path);
+  auto text = util::read_file(path);
+  if (!text) {
+    std::fprintf(stderr, "trace-check: %s\n", text.error().c_str());
     return 3;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = util::Json::parse(buffer.str());
+  auto json = util::Json::parse(text.value());
   if (!json) {
     std::fprintf(stderr, "trace-check: not valid JSON: %s\n", json.error().c_str());
     return 2;
@@ -179,11 +176,16 @@ int main(int argc, char** argv) {
     }
     return check_heartbeat_file(argv[2]);
   }
-  long long min_events = 0;
+  std::size_t min_events = 0;
   bool nested = false;
   for (int i = 2; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--min-events" && i + 1 < argc) {
-      min_events = std::atoll(argv[++i]);
+      const auto n = util::parse_count<std::size_t>(argv[++i]);
+      if (!n) {
+        std::fprintf(stderr, "trace-check: --min-events: %s\n", n.error().c_str());
+        return 1;
+      }
+      min_events = n.value();
     } else if (std::string_view(argv[i]) == "--nested") {
       nested = true;
     } else {
@@ -192,14 +194,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "trace-check: cannot open %s\n", argv[1]);
+  auto text = util::read_file(argv[1]);
+  if (!text) {
+    std::fprintf(stderr, "trace-check: %s\n", text.error().c_str());
     return 3;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto json = util::Json::parse(buffer.str());
+  auto json = util::Json::parse(text.value());
   if (!json) {
     std::fprintf(stderr, "trace-check: not valid JSON: %s\n", json.error().c_str());
     return 2;
@@ -230,8 +230,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (payload < static_cast<std::size_t>(min_events)) {
-    std::fprintf(stderr, "trace-check: %zu payload events, expected at least %lld\n", payload,
+  if (payload < min_events) {
+    std::fprintf(stderr, "trace-check: %zu payload events, expected at least %zu\n", payload,
                  min_events);
     return 2;
   }

@@ -41,6 +41,7 @@
 #include "obs/runtime.h"
 #include "util/fs.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 using namespace ednsm;
 
@@ -125,11 +126,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --interval-ms requires a value\n");
         return 1;
       }
-      interval_ms = std::atol(argv[++i]);
-      if (interval_ms < 1) {
-        std::fprintf(stderr, "error: --interval-ms requires a positive integer\n");
+      const auto value = util::parse_count(argv[++i], 1L);
+      if (!value) {
+        std::fprintf(stderr, "error: --interval-ms: %s\n", value.error().c_str());
         return 1;
       }
+      interval_ms = value.value();
     } else if (arg == "--prom") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --prom requires a value\n");
@@ -141,12 +143,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --stale-after requires a value\n");
         return 1;
       }
-      const long value = std::atol(argv[++i]);
-      if (value < 1) {
-        std::fprintf(stderr, "error: --stale-after requires a positive ms threshold\n");
+      const auto value = util::parse_count(argv[++i], std::uint64_t{1});
+      if (!value) {
+        std::fprintf(stderr, "error: --stale-after: %s\n", value.error().c_str());
         return 1;
       }
-      stale_after_ms = static_cast<std::uint64_t>(value);
+      stale_after_ms = value.value();
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "error: unknown flag: %s\n", argv[i]);
       return 1;
