@@ -27,19 +27,26 @@ void DoqClient::query(netsim::IpAddr server, const std::string& sni, const dns::
     netsim::SimTime started{0};
     std::uint16_t id = 0;
     bool connected = false;
+    // Moved out when the query finishes. The connection's stream handler
+    // keeps `state` alive while the connection lives in sessions_, and the
+    // callback may own this client: holding it past the answer would close
+    // a reference cycle.
+    QueryCallback cb;
   };
   auto state = std::make_shared<State>();
   state->started = net_.queue().now();
   state->id = static_cast<std::uint16_t>(net_.rng().next_u64() & 0xffff);
+  state->cb = std::move(cb);
 
   const netsim::Endpoint remote{server, netsim::kPortDoq};
   const Key key{remote, sni};
 
-  auto finish = [this, state, cb](QueryOutcome outcome) {
+  auto finish = [this, state](QueryOutcome outcome) {
     outcome.protocol = Protocol::DoQ;
     outcome.timing.total = net_.queue().now() - state->started;
     state->guard.reset();
-    cb(std::move(outcome));
+    const QueryCallback done = std::move(state->cb);
+    done(std::move(outcome));
   };
 
   state->guard = std::make_unique<SingleFire>(

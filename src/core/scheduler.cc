@@ -3,19 +3,19 @@
 namespace ednsm::core {
 
 netsim::SimTime ProbeScheduler::round_start(int round, std::size_t vantage_index) const {
-  return spec_.round_interval * round + kVantageStagger * static_cast<int>(vantage_index);
+  return round_interval_ * round + kVantageStagger * static_cast<int>(vantage_index);
 }
 
 std::vector<netsim::SimTime> ProbeScheduler::timeline(std::size_t vantage_index) const {
   std::vector<netsim::SimTime> out;
-  out.reserve(static_cast<std::size_t>(spec_.rounds));
-  for (int r = 0; r < spec_.rounds; ++r) out.push_back(round_start(r, vantage_index));
+  out.reserve(static_cast<std::size_t>(rounds_));
+  for (int r = 0; r < rounds_; ++r) out.push_back(round_start(r, vantage_index));
   return out;
 }
 
 netsim::SimDuration ProbeScheduler::span() const {
-  return spec_.round_interval * spec_.rounds +
-         kVantageStagger * static_cast<int>(spec_.vantage_ids.size());
+  return round_interval_ * rounds_ +
+         kVantageStagger * static_cast<int>(vantages_);
 }
 
 }  // namespace ednsm::core

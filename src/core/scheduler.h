@@ -12,7 +12,11 @@ namespace ednsm::core {
 
 class ProbeScheduler {
  public:
-  explicit ProbeScheduler(const MeasurementSpec& spec) : spec_(spec) {}
+  // Copies the three values it reads, so a scheduler may outlive its spec.
+  explicit ProbeScheduler(const MeasurementSpec& spec)
+      : round_interval_(spec.round_interval),
+        rounds_(spec.rounds),
+        vantages_(spec.vantage_ids.size()) {}
 
   // Start time of `round` (0-based) for the vantage at `vantage_index`.
   [[nodiscard]] netsim::SimTime round_start(int round, std::size_t vantage_index) const;
@@ -24,7 +28,9 @@ class ProbeScheduler {
   [[nodiscard]] netsim::SimDuration span() const;
 
  private:
-  const MeasurementSpec& spec_;
+  netsim::SimDuration round_interval_;
+  int rounds_;
+  std::size_t vantages_;
   // Home devices and EC2 instances should not fire at the same instant;
   // 97 s of stagger per vantage keeps rounds disjoint without overlapping
   // the next round at realistic intervals.

@@ -4,10 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <tuple>
+#include <string_view>
 
 #include "geo/vantage.h"
 
@@ -45,12 +46,10 @@ DiagnosisScope classify_scope(const std::vector<obs::QueryEvidence>& all_rows,
 
   DiagnosisScope scope;
   std::set<std::string> regions;
-  std::uint64_t window_queries = 0;
   for (const auto& [vantage, rows] : by_vantage) {
     const obs::PhaseProfile window = obs::profile_phases(rows, window_from, window_to);
     if (window.queries == 0) continue;
     ++scope.vantages_observed;
-    window_queries += window.queries;
     const obs::PhaseProfile base = obs::profile_phases(rows, baseline_from, baseline_to);
     bool affected = false;
     if (base.queries == 0) {
@@ -68,9 +67,7 @@ DiagnosisScope classify_scope(const std::vector<obs::QueryEvidence>& all_rows,
   }
   scope.affected_regions.assign(regions.begin(), regions.end());
 
-  if (window_queries == 0) {
-    scope.classification = "no-data";
-  } else if (scope.affected_vantages.size() <= 1) {
+  if (scope.affected_vantages.size() <= 1) {
     scope.classification = "single-vantage";
   } else if (static_cast<int>(scope.affected_vantages.size()) == scope.vantages_observed) {
     scope.classification = "global";
@@ -162,13 +159,15 @@ std::vector<CauseVerdict> rank_causes(const Diagnosis& d) {
 
 }  // namespace
 
-util::Json CauseVerdict::to_json() const {
-  util::JsonObject o;
-  o["cause"] = cause;
-  o["score"] = score;
-  o["evidence"] = evidence;
-  o["rationale"] = rationale;
-  return util::Json(std::move(o));
+// Keys in sorted order, as Json::dump writes objects; the diagnosis golden
+// pins it. The other encoders in this file follow the same rule.
+void CauseVerdict::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("cause").value(cause);
+  w.key("evidence").value(evidence);
+  w.key("rationale").value(rationale);
+  w.key("score").value(score);
+  w.end_object();
 }
 
 Result<CauseVerdict> CauseVerdict::from_json(const util::Json& j) {
@@ -181,19 +180,17 @@ Result<CauseVerdict> CauseVerdict::from_json(const util::Json& j) {
   return f.result(std::move(v));
 }
 
-util::Json DiagnosisScope::to_json() const {
-  util::JsonObject o;
-  o["classification"] = classification;
-  util::JsonArray vantages;
-  vantages.reserve(affected_vantages.size());
-  for (const std::string& v : affected_vantages) vantages.push_back(v);
-  o["affected_vantages"] = util::Json(std::move(vantages));
-  util::JsonArray region_arr;
-  region_arr.reserve(affected_regions.size());
-  for (const std::string& r : affected_regions) region_arr.push_back(r);
-  o["affected_regions"] = util::Json(std::move(region_arr));
-  o["vantages_observed"] = vantages_observed;
-  return util::Json(std::move(o));
+void DiagnosisScope::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("affected_regions").begin_array();
+  for (const std::string& r : affected_regions) w.value(r);
+  w.end_array();
+  w.key("affected_vantages").begin_array();
+  for (const std::string& v : affected_vantages) w.value(v);
+  w.end_array();
+  w.key("classification").value(classification);
+  w.key("vantages_observed").value(vantages_observed);
+  w.end_object();
 }
 
 Result<DiagnosisScope> DiagnosisScope::from_json(const util::Json& j) {
@@ -206,27 +203,31 @@ Result<DiagnosisScope> DiagnosisScope::from_json(const util::Json& j) {
   return f.result(std::move(s));
 }
 
-util::Json Diagnosis::to_json() const {
-  util::JsonObject o;
-  o["version"] = version;
-  o["event"] = event.to_json();
-  o["baseline_from"] = baseline_from;
-  o["baseline_to"] = baseline_to;
-  o["dominant_stage"] = dominant_stage;
-  o["stages"] = stages.to_json();
-  o["baseline"] = baseline.to_json();
-  o["window"] = window.to_json();
-  o["delta"] = delta.to_json();
-  o["scope"] = scope.to_json();
-  util::JsonArray verdict_arr;
-  verdict_arr.reserve(verdicts.size());
-  for (const CauseVerdict& v : verdicts) verdict_arr.push_back(v.to_json());
-  o["verdicts"] = util::Json(std::move(verdict_arr));
-  util::JsonArray exemplar_arr;
-  exemplar_arr.reserve(exemplars.size());
-  for (const obs::Exemplar& e : exemplars) exemplar_arr.push_back(e.to_json());
-  o["exemplars"] = util::Json(std::move(exemplar_arr));
-  return util::Json(std::move(o));
+void Diagnosis::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("baseline");
+  baseline.to_json(w);
+  w.key("baseline_from").value(baseline_from);
+  w.key("baseline_to").value(baseline_to);
+  w.key("delta");
+  delta.to_json(w);
+  w.key("dominant_stage").value(dominant_stage);
+  w.key("event");
+  event.to_json(w);
+  w.key("exemplars").begin_array();
+  for (const obs::Exemplar& e : exemplars) e.to_json(w);
+  w.end_array();
+  w.key("scope");
+  scope.to_json(w);
+  w.key("stages");
+  stages.to_json(w);
+  w.key("verdicts").begin_array();
+  for (const CauseVerdict& v : verdicts) v.to_json(w);
+  w.end_array();
+  w.key("version").value(version);
+  w.key("window");
+  window.to_json(w);
+  w.end_object();
 }
 
 Result<Diagnosis> Diagnosis::from_json(const util::Json& j) {
@@ -251,14 +252,13 @@ Result<Diagnosis> Diagnosis::from_json(const util::Json& j) {
   return f.result(std::move(d));
 }
 
-util::Json DiagnosisReport::to_json() const {
-  util::JsonObject o;
-  o["version"] = version;
-  util::JsonArray arr;
-  arr.reserve(diagnoses.size());
-  for (const Diagnosis& d : diagnoses) arr.push_back(d.to_json());
-  o["diagnoses"] = util::Json(std::move(arr));
-  return util::Json(std::move(o));
+void DiagnosisReport::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("diagnoses").begin_array();
+  for (const Diagnosis& d : diagnoses) d.to_json(w);
+  w.end_array();
+  w.key("version").value(version);
+  w.end_object();
 }
 
 Result<DiagnosisReport> DiagnosisReport::from_json(const util::Json& j) {
@@ -275,34 +275,51 @@ Result<DiagnosisReport> DiagnosisReport::from_json(const util::Json& j) {
 }
 
 void DiagnosisReport::write_json(std::ostream& os, int indent) const {
-  os << to_json().dump(indent) << '\n';
+  util::JsonWriter w(os, indent);
+  to_json(w);
+  w.flush();
+  os << '\n';
 }
 
-std::vector<obs::QueryEvidence> collect_evidence(const core::CampaignResult& result,
-                                                 std::string_view resolver, int epoch) {
+namespace {
+
+// Position of `name` in `names`, or nullopt.
+std::optional<std::uint32_t> index_of(const std::vector<std::string>& names,
+                                      std::string_view name) {
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) return std::nullopt;
+  return static_cast<std::uint32_t>(it - names.begin());
+}
+
+// The kept rows of one resolver in epochs [from, to], all vantages (the
+// scope classifier needs the unaffected ones too), with names spelled out.
+std::vector<obs::QueryEvidence> resolver_evidence(const MonitorResult& result,
+                                                  std::uint32_t resolver, int from, int to) {
+  const core::MeasurementSpec& base = result.spec.base;
   std::vector<obs::QueryEvidence> rows;
-  for (const core::ResultRecord& r : result.records) {
-    if (r.resolver != resolver) continue;
-    obs::QueryEvidence row;
-    row.vantage = r.vantage;
-    row.domain = r.domain;
-    row.epoch = epoch;
+  for (const EvidenceRow& r : result.evidence) {
+    if (r.resolver != resolver || r.epoch < from || r.epoch > to) continue;
+    obs::QueryEvidence& row = rows.emplace_back();
+    row.vantage = base.vantage_ids[r.vantage];
+    row.domain = base.domains[r.domain];
+    row.epoch = r.epoch;
     row.round = r.round;
     row.ok = r.ok;
-    row.reused = r.connection_reused;
+    row.reused = r.reused;
     row.response_ms = r.response_ms;
-    row.tcp_ms = r.tcp_handshake_ms;
-    row.tls_ms = r.tls_handshake_ms;
-    row.quic_ms = r.quic_handshake_ms;
-    row.wait_ms = r.pool_wait_ms;
+    row.tcp_ms = r.tcp_ms;
+    row.tls_ms = r.tls_ms;
+    row.quic_ms = r.quic_ms;
+    row.wait_ms = r.wait_ms;
     row.exchange_ms = r.exchange_ms;
     row.failure_stage = r.failure_stage;
     row.error_class = r.error_class;
-    rows.push_back(std::move(row));
   }
   return rows;
 }
 
+// Diagnose one event from evidence covering at least [baseline start,
+// event.end_epoch] for the event's resolver.
 Diagnosis diagnose_event(const MonitorEvent& event,
                          const std::vector<obs::QueryEvidence>& evidence,
                          const DiagnoseOptions& opts) {
@@ -336,6 +353,8 @@ Diagnosis diagnose_event(const MonitorEvent& event,
   return d;
 }
 
+}  // namespace
+
 Result<DiagnosisReport> diagnose_events(const MonitorResult& result, int threads,
                                         const DiagnoseOptions& opts) {
   if (auto v = result.spec.validate(); !v) return Err{v.error()};
@@ -343,43 +362,24 @@ Result<DiagnosisReport> diagnose_events(const MonitorResult& result, int threads
   if (opts.baseline_epochs < 1) {
     return Err{std::string("diagnose: baseline epochs must be >= 1")};
   }
+  if (auto v = result.check_evidence(); !v) return Err{"diagnose: " + v.error()};
 
   DiagnosisReport report;
-  if (result.events.empty()) return report;
-
-  // Union of epochs any event's evidence window touches; each is re-run once
-  // and shared across events.
-  std::set<int> needed;
-  for (const MonitorEvent& ev : result.events) {
-    const int from = std::max(0, ev.start_epoch - opts.baseline_epochs);
-    const int to = std::min(ev.end_epoch, result.spec.epochs - 1);
-    for (int e = from; e <= to; ++e) needed.insert(e);
-  }
-  const std::vector<std::uint64_t> seeds =
-      core::shard_seeds(result.spec.base.seed, static_cast<std::size_t>(result.spec.epochs));
-  std::map<int, core::CampaignResult> campaigns;
-  for (const int e : needed) {
-    campaigns.emplace(e, core::run_parallel_campaign(
-                             epoch_campaign_spec(result.spec,
-                                                 seeds[static_cast<std::size_t>(e)], e),
-                             threads));
-  }
-
-  // Evidence rows per resolver (events on the same resolver share them).
-  std::map<std::string, std::vector<obs::QueryEvidence>> by_resolver;
-  for (const MonitorEvent& ev : result.events) {
-    const auto [it, inserted] = by_resolver.try_emplace(ev.resolver);
-    if (!inserted) continue;
-    for (const auto& [e, campaign] : campaigns) {
-      std::vector<obs::QueryEvidence> rows = collect_evidence(campaign, ev.resolver, e);
-      it->second.insert(it->second.end(), std::make_move_iterator(rows.begin()),
-                        std::make_move_iterator(rows.end()));
-    }
-  }
-
   report.diagnoses.reserve(result.events.size());
   for (const MonitorEvent& ev : result.events) {
-    report.diagnoses.push_back(diagnose_event(ev, by_resolver.at(ev.resolver), opts));
+    const auto resolver = index_of(result.spec.base.resolvers, ev.resolver);
+    const int from = std::max(0, ev.start_epoch - opts.baseline_epochs);
+    std::vector<obs::QueryEvidence> rows;
+    if (resolver) rows = resolver_evidence(result, *resolver, from, ev.end_epoch);
+    const bool covered = std::any_of(rows.begin(), rows.end(), [&](const obs::QueryEvidence& r) {
+      return r.vantage == ev.vantage && r.epoch >= ev.start_epoch;
+    });
+    if (!covered) {
+      return Err{"diagnose: no evidence for the " + ev.type + " event " + ev.vantage + "/" +
+                 ev.resolver + " epochs " + std::to_string(ev.start_epoch) + ".." +
+                 std::to_string(ev.end_epoch)};
+    }
+    report.diagnoses.push_back(diagnose_event(ev, rows, opts));
   }
   return report;
 }

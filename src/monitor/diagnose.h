@@ -1,11 +1,10 @@
-// Root-cause diagnosis for monitor events: given a MonitorResult, re-derive
-// the per-query evidence behind each event and explain it.
+// Root-cause diagnosis for monitor events: explain each event of a
+// MonitorResult from the evidence rows run_monitor kept for every query.
 //
-// The persisted monitor output carries folded series, not per-query records,
-// so the engine re-runs the relevant epochs' campaigns from the spec — epoch
-// seeds come from core::shard_seeds exactly as run_monitor derived them, so
-// the evidence is the same byte-for-byte record stream the event was detected
-// from (for any thread count). Each event gets:
+// Nothing is simulated again. The rows are the record stream the event was
+// detected from (the same for any thread count), read from the result in
+// memory or from the monitor file; an event whose window has no rows is an
+// error, never a silent "no-data" diagnosis. Each event gets:
 //
 //   - a failure-stage breakdown over the event window and the dominant stage,
 //   - per-phase latency profiles (tcp/tls/quic/wait/exchange medians) for the
@@ -19,8 +18,8 @@
 //
 // Scores are fixed arithmetic over the aggregates (DESIGN.md "Diagnosis and
 // attribution" documents the formulas); the whole report is a pure function
-// of (MonitorResult spec, options) and is serialized through a versioned
-// codec gated by tests/golden/monitor_diagnosis.json.
+// of (MonitorResult, options) and is serialized through a versioned codec
+// gated by tests/golden/monitor_diagnosis.json.
 #pragma once
 
 #include <cstdint>
@@ -43,19 +42,19 @@ struct CauseVerdict {
   std::uint64_t evidence = 0;  // queries backing the verdict
   std::string rationale;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<CauseVerdict> from_json(const util::Json& j);
 };
 
 // How widely the event window's impact was observed across the spec's
 // vantages (the event itself names one vantage; scope says who else saw it).
 struct DiagnosisScope {
-  std::string classification;  // "single-vantage" | "regional" | "global" | "no-data"
+  std::string classification;  // "single-vantage" | "regional" | "global"
   std::vector<std::string> affected_vantages;  // sorted
   std::vector<std::string> affected_regions;   // continents, sorted, deduped
   int vantages_observed = 0;  // vantages with evidence in the window
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<DiagnosisScope> from_json(const util::Json& j);
 };
 
@@ -75,7 +74,7 @@ struct Diagnosis {
   std::vector<CauseVerdict> verdicts;  // ranked, best first
   std::vector<obs::Exemplar> exemplars;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<Diagnosis> from_json(const util::Json& j);
 };
 
@@ -83,7 +82,7 @@ struct DiagnosisReport {
   int version = kDiagnosisVersion;
   std::vector<Diagnosis> diagnoses;  // one per MonitorResult event, same order
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<DiagnosisReport> from_json(const util::Json& j);
   void write_json(std::ostream& os, int indent = 2) const;
 };
@@ -93,20 +92,9 @@ struct DiagnoseOptions {
   std::size_t max_exemplars = 3;
 };
 
-// Flatten one epoch's campaign records for `resolver` into evidence rows
-// (all vantages; the scope classifier needs the unaffected ones too).
-[[nodiscard]] std::vector<obs::QueryEvidence> collect_evidence(const core::CampaignResult& result,
-                                                               std::string_view resolver,
-                                                               int epoch);
-
-// Diagnose one event from pre-collected evidence covering at least
-// [baseline start, event.end_epoch] for the event's resolver.
-[[nodiscard]] Diagnosis diagnose_event(const MonitorEvent& event,
-                                       const std::vector<obs::QueryEvidence>& evidence,
-                                       const DiagnoseOptions& opts);
-
-// Diagnose every event in the result: re-runs the needed epochs (each once,
-// shared across events) with `threads` campaign workers, then attributes.
+// Diagnose every event in the result from result.evidence. Returns an error
+// for an invalid spec or options, or when an event's window has no evidence
+// rows. `threads` must be >= 1 and is otherwise unused: nothing is simulated.
 [[nodiscard]] Result<DiagnosisReport> diagnose_events(const MonitorResult& result, int threads,
                                                       const DiagnoseOptions& opts = {});
 

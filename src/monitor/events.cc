@@ -35,16 +35,18 @@ void emit_runs(const std::vector<const SloSample*>& group, std::string_view stat
 
 }  // namespace
 
-util::Json MonitorEvent::to_json() const {
-  util::JsonObject o;
-  o["type"] = type;
-  o["vantage"] = vantage;
-  o["resolver"] = resolver;
-  o["protocol"] = protocol;
-  o["start_epoch"] = start_epoch;
-  o["end_epoch"] = end_epoch;
-  if (transitions != 0) o["transitions"] = transitions;
-  return util::Json(std::move(o));
+// Keys in sorted order, as Json::dump writes objects; the events golden pins
+// it. Every monitor encoder follows the same rule.
+void MonitorEvent::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("end_epoch").value(end_epoch);
+  w.key("protocol").value(protocol);
+  w.key("resolver").value(resolver);
+  w.key("start_epoch").value(start_epoch);
+  if (transitions != 0) w.key("transitions").value(transitions);
+  w.key("type").value(type);
+  w.key("vantage").value(vantage);
+  w.end_object();
 }
 
 Result<MonitorEvent> MonitorEvent::from_json(const util::Json& j) {
@@ -113,11 +115,16 @@ std::vector<MonitorEvent> detect_events(const std::vector<SloSample>& samples,
   return out;
 }
 
-util::Json events_to_json(const std::vector<MonitorEvent>& events) {
-  util::JsonArray arr;
-  arr.reserve(events.size());
-  for (const MonitorEvent& e : events) arr.push_back(e.to_json());
-  return util::Json(std::move(arr));
+void events_to_json(const std::vector<MonitorEvent>& events, util::JsonWriter& w) {
+  w.begin_array();
+  for (const MonitorEvent& e : events) e.to_json(w);
+  w.end_array();
+}
+
+std::string events_json(const std::vector<MonitorEvent>& events) {
+  util::JsonWriter w(2);
+  events_to_json(events, w);
+  return std::move(w).take();
 }
 
 }  // namespace ednsm::monitor

@@ -28,7 +28,7 @@ struct MonitorEvent {
   int end_epoch = 0;    // inclusive
   int transitions = 0;  // flap events: number of state changes observed
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<MonitorEvent> from_json(const util::Json& j);
 };
 
@@ -38,8 +38,10 @@ struct MonitorEvent {
 [[nodiscard]] std::vector<MonitorEvent> detect_events(const std::vector<SloSample>& samples,
                                                       const SloConfig& config);
 
-// Serialize a list of events as a JSON array (the `ednsm_monitor events`
-// payload and the CI smoke job's golden format).
-[[nodiscard]] util::Json events_to_json(const std::vector<MonitorEvent>& events);
+// Serialize a list of events as a JSON array.
+void events_to_json(const std::vector<MonitorEvent>& events, util::JsonWriter& w);
+// The array at indent 2, without a trailing newline: the `ednsm_monitor
+// events` payload and the events golden's format.
+[[nodiscard]] std::string events_json(const std::vector<MonitorEvent>& events);
 
 }  // namespace ednsm::monitor

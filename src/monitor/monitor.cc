@@ -1,16 +1,61 @@
 #include "monitor/monitor.h"
 
+#include <map>
 #include <optional>
 #include <ostream>
+#include <string_view>
+#include <tuple>
+
+#include "util/bytes.h"
 
 namespace ednsm::monitor {
 
-util::Json OutageScript::to_json() const {
-  util::JsonObject o;
-  o["resolver"] = resolver;
-  o["from_epoch"] = from_epoch;
-  o["to_epoch"] = to_epoch;
-  return util::Json(std::move(o));
+namespace {
+
+constexpr std::size_t kOkSlots = 13;
+constexpr std::size_t kFailedSlots = 15;
+
+// Position of each name in a spec list; a repeated name keeps its first index.
+std::map<std::string_view, std::uint32_t> index_names(const std::vector<std::string>& names) {
+  std::map<std::string_view, std::uint32_t> out;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    out.emplace(names[i], static_cast<std::uint32_t>(i));
+  }
+  return out;
+}
+
+Result<void> check_row(const EvidenceRow& row, const MonitorSpec& spec) {
+  const auto in_list = [](std::uint32_t index, const std::vector<std::string>& list) {
+    return index < list.size();
+  };
+  if (!in_list(row.resolver, spec.base.resolvers)) {
+    return Err{"resolver index " + std::to_string(row.resolver) + " is not in the spec"};
+  }
+  if (!in_list(row.vantage, spec.base.vantage_ids)) {
+    return Err{"vantage index " + std::to_string(row.vantage) + " is not in the spec"};
+  }
+  if (!in_list(row.domain, spec.base.domains)) {
+    return Err{"domain index " + std::to_string(row.domain) + " is not in the spec"};
+  }
+  if (row.epoch < 0 || row.epoch >= spec.epochs) {
+    return Err{"epoch " + std::to_string(row.epoch) + " is outside the spec's epochs"};
+  }
+  if (row.round < 0 || row.round >= spec.base.rounds) {
+    return Err{"round " + std::to_string(row.round) + " is outside the spec's rounds"};
+  }
+  return {};
+}
+
+}  // namespace
+
+// Keys in sorted order, as Json::dump writes objects; the encoders below
+// follow the same rule.
+void OutageScript::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("from_epoch").value(from_epoch);
+  w.key("resolver").value(resolver);
+  w.key("to_epoch").value(to_epoch);
+  w.end_object();
 }
 
 Result<OutageScript> OutageScript::from_json(const util::Json& j) {
@@ -34,16 +79,16 @@ Result<void> MonitorSpec::validate() const {
   return {};
 }
 
-util::Json MonitorSpec::to_json() const {
-  util::JsonObject o;
-  o["base"] = base.to_json();
-  o["epochs"] = epochs;
-  util::JsonArray arr;
-  arr.reserve(outages.size());
-  for (const OutageScript& s : outages) arr.push_back(s.to_json());
-  o["outages"] = util::Json(std::move(arr));
-  o["slo"] = slo.to_json();
-  return util::Json(std::move(o));
+void MonitorSpec::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("base").value(base.to_json());
+  w.key("epochs").value(epochs);
+  w.key("outages").begin_array();
+  for (const OutageScript& s : outages) s.to_json(w);
+  w.end_array();
+  w.key("slo");
+  slo.to_json(w);
+  w.end_object();
 }
 
 Result<MonitorSpec> MonitorSpec::from_json(const util::Json& j) {
@@ -58,46 +103,105 @@ Result<MonitorSpec> MonitorSpec::from_json(const util::Json& j) {
   return spec;
 }
 
-util::Json EpochSummary::to_json() const {
-  util::JsonObject o;
-  o["epoch"] = epoch;
-  o["seed"] = seed;
-  o["queries"] = queries;
-  o["failures"] = failures;
-  o["availability"] = availability;
-  return util::Json(std::move(o));
+void EpochSummary::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("availability").value(availability);
+  w.key("epoch").value(epoch);
+  w.key("failures").value(failures);
+  w.key("queries").value(queries);
+  w.key("seed").value(util::u64_to_hex(seed));
+  w.end_object();
 }
 
 Result<EpochSummary> EpochSummary::from_json(const util::Json& j) {
   EpochSummary s;
+  std::optional<std::string> seed;
   util::JsonFields f(j, "epoch summary");
   f.required("epoch", s.epoch)
-      .optional("seed", s.seed)
+      .optional("seed", seed)
       .optional("queries", s.queries)
       .optional("failures", s.failures)
       .optional("availability", s.availability);
-  return f.result(s);
+  if (!f) return Err{f.error()};
+  if (seed.has_value()) {
+    auto parsed = util::u64_from_hex(*seed);
+    if (!parsed) return Err{"epoch summary: seed: " + parsed.error()};
+    s.seed = parsed.value();
+  }
+  return s;
 }
 
-util::Json MonitorResult::to_json() const {
-  util::JsonObject o;
-  o["spec"] = spec.to_json();
-  util::JsonArray epoch_arr;
-  epoch_arr.reserve(epochs.size());
-  for (const EpochSummary& e : epochs) epoch_arr.push_back(e.to_json());
-  o["epochs"] = util::Json(std::move(epoch_arr));
-  util::JsonObject series_obj;
-  series_obj["bucket_width"] = series.bucket_width();
-  util::JsonArray points;
-  for (const obs::SeriesPoint& p : series.snapshot()) points.push_back(p.to_json());
-  series_obj["points"] = util::Json(std::move(points));
-  o["series"] = util::Json(std::move(series_obj));
-  util::JsonArray slo_arr;
-  slo_arr.reserve(slos.size());
-  for (const SloSample& s : slos) slo_arr.push_back(s.to_json());
-  o["slos"] = util::Json(std::move(slo_arr));
-  o["events"] = events_to_json(events);
-  return util::Json(std::move(o));
+void EvidenceRow::to_json(util::JsonWriter& w) const {
+  w.begin_array()
+      .value(static_cast<std::uint64_t>(resolver))
+      .value(static_cast<std::uint64_t>(vantage))
+      .value(static_cast<std::uint64_t>(domain))
+      .value(epoch)
+      .value(round)
+      .value(ok)
+      .value(reused)
+      .shortest(response_ms)
+      .shortest(tcp_ms)
+      .shortest(tls_ms)
+      .shortest(quic_ms)
+      .shortest(wait_ms)
+      .shortest(exchange_ms);
+  if (!ok) w.value(failure_stage).value(error_class);
+  w.end_array();
+}
+
+Result<EvidenceRow> EvidenceRow::from_json(const util::Json& j) {
+  EvidenceRow r;
+  const std::size_t slots = j.is_array() ? j.as_array().size() : 0;
+  if (slots != kOkSlots && slots != kFailedSlots) {
+    return Err{std::string("evidence row must be an array of 13 (ok) or 15 (failed) slots")};
+  }
+  auto common = std::tie(r.resolver, r.vantage, r.domain, r.epoch, r.round, r.ok, r.reused,
+                         r.response_ms, r.tcp_ms, r.tls_ms, r.quic_ms, r.wait_ms, r.exchange_ms);
+  std::string err;
+  if (slots == kOkSlots) {
+    err = util::json_read::read(j, common);
+  } else {
+    auto all = std::tuple_cat(common, std::tie(r.failure_stage, r.error_class));
+    err = util::json_read::read(j, all);
+  }
+  if (!err.empty()) return Err{"evidence row" + err};
+  if (r.ok != (slots == kOkSlots)) {
+    return Err{std::string("evidence row: an ok row has 13 slots, a failed row 15")};
+  }
+  return r;
+}
+
+Result<void> MonitorResult::check_evidence() const {
+  for (std::size_t i = 0; i < evidence.size(); ++i) {
+    if (auto v = check_row(evidence[i], spec); !v) {
+      return Err{"evidence[" + std::to_string(i) + "]: " + v.error()};
+    }
+  }
+  return {};
+}
+
+void MonitorResult::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("epochs").begin_array();
+  for (const EpochSummary& e : epochs) e.to_json(w);
+  w.end_array();
+  w.key("events");
+  events_to_json(events, w);
+  w.key("evidence").begin_array();
+  for (const EvidenceRow& row : evidence) row.to_json(w);
+  w.end_array();
+  w.key("series").begin_object();
+  w.key("bucket_width").value(series.bucket_width());
+  w.key("points").begin_array();
+  for (const obs::SeriesPoint& p : series.snapshot()) p.to_json(w);
+  w.end_array();
+  w.end_object();
+  w.key("slos");
+  slos_to_json(slos, w);
+  w.key("spec");
+  spec.to_json(w);
+  w.end_object();
 }
 
 Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
@@ -108,10 +212,12 @@ Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
   f.required("spec", out.spec)
       .optional("epochs", out.epochs)
       .optional("slos", out.slos)
-      .optional("events", out.events);
+      .optional("events", out.events)
+      .optional("evidence", out.evidence);
   util::JsonFields series = f.object("series");
   series.optional("bucket_width", bucket_width).optional("points", points);
   if (!f) return Err{f.error()};
+  if (auto v = out.check_evidence(); !v) return Err{"monitor result: " + v.error()};
   if (bucket_width.has_value()) out.series = obs::TimeSeries(*bucket_width);
   for (const obs::SeriesPoint& p : points) {
     if (auto ins = out.series.insert(p); !ins) return Err{ins.error()};
@@ -120,7 +226,10 @@ Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
 }
 
 void MonitorResult::write_json(std::ostream& os, int indent) const {
-  os << to_json().dump(indent) << '\n';
+  util::JsonWriter w(os, indent);
+  to_json(w);
+  w.flush();
+  os << '\n';
 }
 
 void evaluate_result(MonitorResult& result) {
@@ -154,6 +263,12 @@ Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads) {
   // is a pure function of (spec, epochs) for any thread count.
   const std::vector<std::uint64_t> seeds =
       core::shard_seeds(spec.base.seed, static_cast<std::size_t>(spec.epochs));
+  const auto resolvers = index_names(spec.base.resolvers);
+  const auto vantages = index_names(spec.base.vantage_ids);
+  const auto domains = index_names(spec.base.domains);
+  out.evidence.reserve(spec.base.resolvers.size() * spec.base.vantage_ids.size() *
+                       spec.base.domains.size() * static_cast<std::size_t>(spec.base.rounds) *
+                       static_cast<std::size_t>(spec.epochs));
 
   for (int e = 0; e < spec.epochs; ++e) {
     const core::MeasurementSpec epoch_spec =
@@ -172,6 +287,24 @@ Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads) {
       } else {
         out.series.add_counter(kMetricFailures, r.vantage, r.resolver, proto, e);
         ++summary.failures;
+      }
+      EvidenceRow& row = out.evidence.emplace_back();
+      row.resolver = resolvers.at(r.resolver);
+      row.vantage = vantages.at(r.vantage);
+      row.domain = domains.at(r.domain);
+      row.epoch = e;
+      row.round = r.round;
+      row.ok = r.ok;
+      row.reused = r.connection_reused;
+      row.response_ms = r.response_ms;
+      row.tcp_ms = r.tcp_handshake_ms;
+      row.tls_ms = r.tls_handshake_ms;
+      row.quic_ms = r.quic_handshake_ms;
+      row.wait_ms = r.pool_wait_ms;
+      row.exchange_ms = r.exchange_ms;
+      if (!r.ok) {
+        row.failure_stage = r.failure_stage;
+        row.error_class = r.error_class;
       }
     }
     summary.availability =

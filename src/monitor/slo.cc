@@ -18,13 +18,14 @@ double finite_or_zero(double v) noexcept { return std::isnan(v) ? 0.0 : v; }
 
 }  // namespace
 
-util::Json SloThresholds::to_json() const {
-  util::JsonObject o;
-  o["min_availability"] = min_availability;
-  o["max_p50_ms"] = max_p50_ms;
-  o["max_p95_ms"] = max_p95_ms;
-  o["max_p99_ms"] = max_p99_ms;
-  return util::Json(std::move(o));
+// Keys in sorted order, as Json::dump writes objects.
+void SloThresholds::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("max_p50_ms").value(max_p50_ms);
+  w.key("max_p95_ms").value(max_p95_ms);
+  w.key("max_p99_ms").value(max_p99_ms);
+  w.key("min_availability").value(min_availability);
+  w.end_object();
 }
 
 Result<SloThresholds> SloThresholds::from_json(const util::Json& j) {
@@ -63,15 +64,18 @@ Result<void> SloConfig::validate() const {
   return {};
 }
 
-util::Json SloConfig::to_json() const {
-  util::JsonObject o;
-  o["window_epochs"] = window_epochs;
-  o["outage_availability"] = outage_availability;
-  o["flap_transitions"] = flap_transitions;
-  o["hyperscale"] = hyperscale.to_json();
-  o["managed"] = managed.to_json();
-  o["hobbyist"] = hobbyist.to_json();
-  return util::Json(std::move(o));
+void SloConfig::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("flap_transitions").value(flap_transitions);
+  w.key("hobbyist");
+  hobbyist.to_json(w);
+  w.key("hyperscale");
+  hyperscale.to_json(w);
+  w.key("managed");
+  managed.to_json(w);
+  w.key("outage_availability").value(outage_availability);
+  w.key("window_epochs").value(window_epochs);
+  w.end_object();
 }
 
 Result<SloConfig> SloConfig::from_json(const util::Json& j) {
@@ -88,23 +92,29 @@ Result<SloConfig> SloConfig::from_json(const util::Json& j) {
   return c;
 }
 
-util::Json SloSample::to_json() const {
-  util::JsonObject o;
-  o["vantage"] = vantage;
-  o["resolver"] = resolver;
-  o["protocol"] = protocol;
-  o["epoch"] = epoch;
-  o["queries"] = queries;
-  o["failures"] = failures;
-  o["availability"] = availability;
-  o["window_queries"] = window_queries;
-  o["window_failures"] = window_failures;
-  o["window_availability"] = window_availability;
-  o["p50_ms"] = p50_ms;
-  o["p95_ms"] = p95_ms;
-  o["p99_ms"] = p99_ms;
-  o["state"] = state;
-  return util::Json(std::move(o));
+void SloSample::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("availability").value(availability);
+  w.key("epoch").value(epoch);
+  w.key("failures").value(failures);
+  w.key("p50_ms").value(p50_ms);
+  w.key("p95_ms").value(p95_ms);
+  w.key("p99_ms").value(p99_ms);
+  w.key("protocol").value(protocol);
+  w.key("queries").value(queries);
+  w.key("resolver").value(resolver);
+  w.key("state").value(state);
+  w.key("vantage").value(vantage);
+  w.key("window_availability").value(window_availability);
+  w.key("window_failures").value(window_failures);
+  w.key("window_queries").value(window_queries);
+  w.end_object();
+}
+
+void slos_to_json(const std::vector<SloSample>& slos, util::JsonWriter& w) {
+  w.begin_array();
+  for (const SloSample& s : slos) s.to_json(w);
+  w.end_array();
 }
 
 Result<SloSample> SloSample::from_json(const util::Json& j) {

@@ -39,7 +39,7 @@ struct SloThresholds {
   double max_p95_ms = 1500.0;
   double max_p99_ms = 4000.0;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<SloThresholds> from_json(const util::Json& j);
 };
 
@@ -57,7 +57,7 @@ struct SloConfig {
   [[nodiscard]] const SloThresholds& for_resolver(std::string_view hostname) const noexcept;
 
   [[nodiscard]] Result<void> validate() const;
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<SloConfig> from_json(const util::Json& j);
 };
 
@@ -78,9 +78,13 @@ struct SloSample {
   double p99_ms = 0.0;
   std::string state;                  // "healthy" | "degraded" | "outage"
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<SloSample> from_json(const util::Json& j);
 };
+
+// Serialize samples as a JSON array (the monitor file's "slos" and the
+// `--slo-out` payload).
+void slos_to_json(const std::vector<SloSample>& slos, util::JsonWriter& w);
 
 // Evaluate every (vantage, resolver) pair for epochs [0, epochs), in
 // (vantage, resolver, epoch) order. `series` buckets must be epoch indices.

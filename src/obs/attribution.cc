@@ -30,14 +30,16 @@ std::string_view StageBreakdown::dominant() const noexcept {
   return name;
 }
 
-util::Json StageBreakdown::to_json() const {
-  util::JsonObject o;
-  o["connect"] = connect;
-  o["handshake"] = handshake;
-  o["query"] = query;
-  o["timeout"] = timeout;
-  o["other"] = other;
-  return util::Json(std::move(o));
+// Keys in sorted order, as Json::dump writes objects; the diagnosis golden
+// pins it. The other encoders in this file follow the same rule.
+void StageBreakdown::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("connect").value(connect);
+  w.key("handshake").value(handshake);
+  w.key("other").value(other);
+  w.key("query").value(query);
+  w.key("timeout").value(timeout);
+  w.end_object();
 }
 
 Result<StageBreakdown> StageBreakdown::from_json(const util::Json& j) {
@@ -51,19 +53,19 @@ Result<StageBreakdown> StageBreakdown::from_json(const util::Json& j) {
   return f.result(b);
 }
 
-util::Json PhaseProfile::to_json() const {
-  util::JsonObject o;
-  o["queries"] = queries;
-  o["failures"] = failures;
-  o["availability"] = availability;
-  o["reused_fraction"] = reused_fraction;
-  o["response_ms"] = response_ms;
-  o["tcp_ms"] = tcp_ms;
-  o["tls_ms"] = tls_ms;
-  o["quic_ms"] = quic_ms;
-  o["wait_ms"] = wait_ms;
-  o["exchange_ms"] = exchange_ms;
-  return util::Json(std::move(o));
+void PhaseProfile::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("availability").value(availability);
+  w.key("exchange_ms").value(exchange_ms);
+  w.key("failures").value(failures);
+  w.key("queries").value(queries);
+  w.key("quic_ms").value(quic_ms);
+  w.key("response_ms").value(response_ms);
+  w.key("reused_fraction").value(reused_fraction);
+  w.key("tcp_ms").value(tcp_ms);
+  w.key("tls_ms").value(tls_ms);
+  w.key("wait_ms").value(wait_ms);
+  w.end_object();
 }
 
 Result<PhaseProfile> PhaseProfile::from_json(const util::Json& j) {
@@ -82,17 +84,17 @@ Result<PhaseProfile> PhaseProfile::from_json(const util::Json& j) {
   return f.result(p);
 }
 
-util::Json PhaseDelta::to_json() const {
-  util::JsonObject o;
-  o["availability"] = availability;
-  o["reused_fraction"] = reused_fraction;
-  o["response_ms"] = response_ms;
-  o["tcp_ms"] = tcp_ms;
-  o["tls_ms"] = tls_ms;
-  o["quic_ms"] = quic_ms;
-  o["wait_ms"] = wait_ms;
-  o["exchange_ms"] = exchange_ms;
-  return util::Json(std::move(o));
+void PhaseDelta::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("availability").value(availability);
+  w.key("exchange_ms").value(exchange_ms);
+  w.key("quic_ms").value(quic_ms);
+  w.key("response_ms").value(response_ms);
+  w.key("reused_fraction").value(reused_fraction);
+  w.key("tcp_ms").value(tcp_ms);
+  w.key("tls_ms").value(tls_ms);
+  w.key("wait_ms").value(wait_ms);
+  w.end_object();
 }
 
 Result<PhaseDelta> PhaseDelta::from_json(const util::Json& j) {
@@ -109,18 +111,18 @@ Result<PhaseDelta> PhaseDelta::from_json(const util::Json& j) {
   return f.result(d);
 }
 
-util::Json Exemplar::to_json() const {
-  util::JsonObject o;
-  o["vantage"] = vantage;
-  o["domain"] = domain;
-  o["epoch"] = epoch;
-  o["round"] = round;
-  o["ok"] = ok;
-  o["response_ms"] = response_ms;
-  o["failure_stage"] = failure_stage;
-  o["error_class"] = error_class;
-  o["flight_ref"] = flight_ref;
-  return util::Json(std::move(o));
+void Exemplar::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("domain").value(domain);
+  w.key("epoch").value(epoch);
+  w.key("error_class").value(error_class);
+  w.key("failure_stage").value(failure_stage);
+  w.key("flight_ref").value(flight_ref);
+  w.key("ok").value(ok);
+  w.key("response_ms").value(response_ms);
+  w.key("round").value(round);
+  w.key("vantage").value(vantage);
+  w.end_object();
 }
 
 Result<Exemplar> Exemplar::from_json(const util::Json& j) {

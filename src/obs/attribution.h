@@ -20,9 +20,8 @@
 
 namespace ednsm::obs {
 
-// One query's worth of evidence, flattened from a campaign result record.
-// In-memory only: diagnoses serialize aggregates and exemplars, not the raw
-// evidence set.
+// One query's worth of evidence with its names spelled out. In-memory only:
+// diagnoses serialize aggregates and exemplars, not the raw evidence set.
 struct QueryEvidence {
   std::string vantage;
   std::string domain;
@@ -56,7 +55,7 @@ struct StageBreakdown {
   // handshake, query, timeout, other). "" when there are no failures.
   [[nodiscard]] std::string_view dominant() const noexcept;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<StageBreakdown> from_json(const util::Json& j);
 };
 
@@ -74,7 +73,7 @@ struct PhaseProfile {
   double wait_ms = 0.0;
   double exchange_ms = 0.0;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<PhaseProfile> from_json(const util::Json& j);
 };
 
@@ -90,7 +89,7 @@ struct PhaseDelta {
   double wait_ms = 0.0;
   double exchange_ms = 0.0;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<PhaseDelta> from_json(const util::Json& j);
 };
 
@@ -108,7 +107,7 @@ struct Exemplar {
   std::string error_class;
   std::string flight_ref;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<Exemplar> from_json(const util::Json& j);
 };
 

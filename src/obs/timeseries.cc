@@ -103,32 +103,32 @@ class ByteReader {
 
 // -- SeriesPoint codec --------------------------------------------------------
 
-util::Json SeriesPoint::to_json() const {
-  util::JsonObject o;
-  o["metric"] = metric;
-  o["vantage"] = vantage;
-  o["resolver"] = resolver;
-  o["protocol"] = protocol;
-  o["kind"] = kind;
-  o["bucket"] = static_cast<std::int64_t>(bucket);
-  o["value"] = value;
-  if (kind == kKindHistogram) {
-    o["count"] = count;
-    o["mean"] = mean;
-    o["m2"] = m2;
-    o["min"] = min;
-    o["max"] = max;
-    util::JsonArray arr;
-    arr.reserve(bins.size());
+// Keys in sorted order, as Json::dump writes objects.
+void SeriesPoint::to_json(util::JsonWriter& w) const {
+  const bool histogram = kind == kKindHistogram;
+  w.begin_object();
+  if (histogram) {
+    w.key("bins").begin_array();
     for (const auto& [bin, n] : bins) {
-      util::JsonArray pair;
-      pair.emplace_back(static_cast<std::uint64_t>(bin));
-      pair.emplace_back(n);
-      arr.emplace_back(std::move(pair));
+      w.begin_array().value(static_cast<std::uint64_t>(bin)).value(n).end_array();
     }
-    o["bins"] = util::Json(std::move(arr));
+    w.end_array();
   }
-  return util::Json(std::move(o));
+  w.key("bucket").value(bucket);
+  if (histogram) w.key("count").value(count);
+  w.key("kind").value(kind);
+  if (histogram) {
+    w.key("m2").value(m2);
+    w.key("max").value(max);
+    w.key("mean").value(mean);
+  }
+  w.key("metric").value(metric);
+  if (histogram) w.key("min").value(min);
+  w.key("protocol").value(protocol);
+  w.key("resolver").value(resolver);
+  w.key("value").value(value);
+  w.key("vantage").value(vantage);
+  w.end_object();
 }
 
 Result<SeriesPoint> SeriesPoint::from_json(const util::Json& j) {
@@ -361,7 +361,11 @@ void TimeSeries::write_jsonl(std::ostream& os) const {
   header["schema"] = std::string(kSchema);
   header["bucket_width"] = bucket_width_;
   os << util::Json(std::move(header)).dump() << '\n';
-  for (const SeriesPoint& p : snapshot()) os << p.to_json().dump() << '\n';
+  for (const SeriesPoint& p : snapshot()) {
+    util::JsonWriter w;
+    p.to_json(w);
+    os << std::move(w).take() << '\n';
+  }
 }
 
 std::string TimeSeries::jsonl() const {

@@ -50,7 +50,7 @@ struct SeriesPoint {
   double max = 0.0;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> bins;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<SeriesPoint> from_json(const util::Json& j);
 };
 

@@ -341,6 +341,15 @@ JsonWriter& JsonWriter::value(double d) {
   return *this;
 }
 
+JsonWriter& JsonWriter::shortest(double d) {
+  if (std::isnan(d) || std::isinf(d)) return value(nullptr);
+  prefix();
+  char buf[32];
+  const auto res = std::to_chars(buf, std::end(buf), d);
+  out_.append(buf, res.ptr);
+  return *this;
+}
+
 JsonWriter& JsonWriter::value(bool b) {
   prefix();
   out_.append(b ? "true" : "false");

@@ -138,6 +138,11 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t u) { return value(static_cast<double>(u)); }
   JsonWriter& value(bool b);
   JsonWriter& value(std::nullptr_t);
+  // A number as the shortest text that parses back to exactly `d`
+  // (std::to_chars without a precision): "29.708" where value() prints
+  // "29.707999999999998". For files that hold many measured values; NaN and
+  // Inf become null, as in value().
+  JsonWriter& shortest(double d);
   // Splices a document subtree at the current position and depth.
   JsonWriter& value(const Json& j);
 

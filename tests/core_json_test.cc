@@ -219,6 +219,34 @@ TEST(JsonWriter, NumbersMatchPrintfReference) {
   EXPECT_EQ(printf_reference(std::nan("")), "null");
 }
 
+// shortest() prints the fewest digits that parse back to the same double.
+TEST(JsonWriter, ShortestNumbersRoundTripExactly) {
+  const double values[] = {0.0,    -0.0,  1.0,   29.708, 0.1,    1.0 / 3.0, 5e-324,
+                           1e15,   1e300, -1e300, 123456789.123456,
+                           std::numeric_limits<double>::max()};
+  for (const double d : values) {
+    JsonWriter w;
+    w.shortest(d);
+    const std::string text = std::move(w).take();
+    const auto back = Json::parse(text);
+    ASSERT_TRUE(back) << text;
+    EXPECT_EQ(back.value().as_number(), d) << text;
+    EXPECT_EQ(std::signbit(back.value().as_number()), std::signbit(d)) << text;
+    EXPECT_LE(text.size(), printf_reference(d).size()) << text;
+  }
+  const auto shortest = [](double d) {
+    JsonWriter w;
+    w.shortest(d);
+    return std::move(w).take();
+  };
+  EXPECT_EQ(shortest(29.708), "29.708");
+  EXPECT_EQ(printf_reference(29.708), "29.707999999999998");
+  EXPECT_EQ(shortest(0.0), "0");
+  EXPECT_EQ(shortest(25.0), "25");
+  EXPECT_EQ(shortest(std::nan("")), "null");
+  EXPECT_EQ(shortest(std::numeric_limits<double>::infinity()), "null");
+}
+
 // Integer overloads convert to double first, like the Json constructors, so
 // a uint64 above 2^53 prints as its nearest double.
 TEST(JsonWriter, IntegersConvertLikeJsonConstructors) {

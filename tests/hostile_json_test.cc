@@ -146,6 +146,13 @@ monitor::MonitorSpec small_monitor_spec() {
   return spec;
 }
 
+std::size_t first_failed_row(const monitor::MonitorResult& result) {
+  for (std::size_t i = 0; i < result.evidence.size(); ++i) {
+    if (!result.evidence[i].ok) return i;
+  }
+  throw std::logic_error("the monitor run has no failed evidence row");
+}
+
 obs::RuntimeStageSnapshot sample_stage() {
   obs::RuntimeStageSnapshot s;
   s.stage = "simulate";
@@ -284,14 +291,14 @@ std::vector<Decoder> decoders() {
                   {"outcomes/0/trace/events/0/4", K::Integer}}});
 
   // -- obs ----------------------------------------------------------------------
-  out.push_back({"StageBreakdown", obs::StageBreakdown{1, 2, 3, 4, 5}.to_json(),
+  out.push_back({"StageBreakdown", test::as_dom(obs::StageBreakdown{1, 2, 3, 4, 5}),
                  via_from_json<obs::StageBreakdown>(),
                  {{"connect", K::Integer},
                   {"handshake", K::Integer},
                   {"query", K::Integer},
                   {"timeout", K::Integer},
                   {"other", K::Integer}}});
-  out.push_back({"PhaseProfile", obs::PhaseProfile{}.to_json(),
+  out.push_back({"PhaseProfile", test::as_dom(obs::PhaseProfile{}),
                  via_from_json<obs::PhaseProfile>(),
                  {{"queries", K::Integer},
                   {"failures", K::Integer},
@@ -303,7 +310,7 @@ std::vector<Decoder> decoders() {
                   {"quic_ms", K::Number},
                   {"wait_ms", K::Number},
                   {"exchange_ms", K::Number}}});
-  out.push_back({"PhaseDelta", obs::PhaseDelta{}.to_json(), via_from_json<obs::PhaseDelta>(),
+  out.push_back({"PhaseDelta", test::as_dom(obs::PhaseDelta{}), via_from_json<obs::PhaseDelta>(),
                  {{"availability", K::Number},
                   {"reused_fraction", K::Number},
                   {"response_ms", K::Number},
@@ -312,7 +319,7 @@ std::vector<Decoder> decoders() {
                   {"quic_ms", K::Number},
                   {"wait_ms", K::Number},
                   {"exchange_ms", K::Number}}});
-  out.push_back({"Exemplar", obs::Exemplar{}.to_json(), via_from_json<obs::Exemplar>(),
+  out.push_back({"Exemplar", test::as_dom(obs::Exemplar{}), via_from_json<obs::Exemplar>(),
                  {{"vantage", K::String},
                   {"domain", K::String},
                   {"epoch", K::Integer},
@@ -415,7 +422,7 @@ std::vector<Decoder> decoders() {
   point.kind = "histogram";
   point.count = 2;
   point.bins = {{3, 2}};
-  out.push_back({"SeriesPoint", point.to_json(), via_from_json<obs::SeriesPoint>(),
+  out.push_back({"SeriesPoint", test::as_dom(point), via_from_json<obs::SeriesPoint>(),
                  {{"metric", K::String},
                   {"vantage", K::String},
                   {"resolver", K::String},
@@ -447,7 +454,7 @@ std::vector<Decoder> decoders() {
   event.start_epoch = 1;
   event.end_epoch = 3;
   event.transitions = 3;
-  out.push_back({"MonitorEvent", event.to_json(), via_from_json<monitor::MonitorEvent>(),
+  out.push_back({"MonitorEvent", test::as_dom(event), via_from_json<monitor::MonitorEvent>(),
                  {{"type", K::String},
                   {"vantage", K::String},
                   {"resolver", K::String},
@@ -455,13 +462,13 @@ std::vector<Decoder> decoders() {
                   {"start_epoch", K::Integer},
                   {"end_epoch", K::Integer},
                   {"transitions", K::Integer}}});
-  out.push_back({"SloThresholds", monitor::SloThresholds{}.to_json(),
+  out.push_back({"SloThresholds", test::as_dom(monitor::SloThresholds{}),
                  via_from_json<monitor::SloThresholds>(),
                  {{"min_availability", K::Number},
                   {"max_p50_ms", K::Number},
                   {"max_p95_ms", K::Number},
                   {"max_p99_ms", K::Number}}});
-  out.push_back({"SloConfig", monitor::SloConfig{}.to_json(),
+  out.push_back({"SloConfig", test::as_dom(monitor::SloConfig{}),
                  via_from_json<monitor::SloConfig>(),
                  {{"window_epochs", K::Integer},
                   {"outage_availability", K::Number},
@@ -469,7 +476,7 @@ std::vector<Decoder> decoders() {
                   {"hyperscale/max_p50_ms", K::Number},
                   {"managed/min_availability", K::Number},
                   {"hobbyist/max_p99_ms", K::Number}}});
-  out.push_back({"SloSample", run.value().slos.at(0).to_json(),
+  out.push_back({"SloSample", test::as_dom(run.value().slos.at(0)),
                  via_from_json<monitor::SloSample>(),
                  {{"vantage", K::String},
                   {"resolver", K::String},
@@ -486,7 +493,7 @@ std::vector<Decoder> decoders() {
                   {"p95_ms", K::Number},
                   {"p99_ms", K::Number}}});
   const monitor::Diagnosis& diagnosis = report.value().diagnoses.at(0);
-  out.push_back({"CauseVerdict", diagnosis.verdicts.at(0).to_json(),
+  out.push_back({"CauseVerdict", test::as_dom(diagnosis.verdicts.at(0)),
                  via_from_json<monitor::CauseVerdict>(),
                  {{"cause", K::String},
                   {"score", K::Number},
@@ -497,14 +504,14 @@ std::vector<Decoder> decoders() {
   scope.affected_vantages = {"ec2-ohio"};
   scope.affected_regions = {"NA"};
   scope.vantages_observed = 1;
-  out.push_back({"DiagnosisScope", scope.to_json(), via_from_json<monitor::DiagnosisScope>(),
+  out.push_back({"DiagnosisScope", test::as_dom(scope), via_from_json<monitor::DiagnosisScope>(),
                  {{"classification", K::String},
                   {"affected_vantages", K::Array},
                   {"affected_vantages/0", K::String},
                   {"affected_regions", K::Array},
                   {"affected_regions/0", K::String},
                   {"vantages_observed", K::Integer}}});
-  out.push_back({"Diagnosis", diagnosis.to_json(), via_from_json<monitor::Diagnosis>(),
+  out.push_back({"Diagnosis", test::as_dom(diagnosis), via_from_json<monitor::Diagnosis>(),
                  {{"version", K::Integer},
                   {"event/start_epoch", K::Integer},
                   {"baseline_from", K::Integer},
@@ -519,38 +526,53 @@ std::vector<Decoder> decoders() {
                   {"verdicts/0/evidence", K::Integer},
                   {"exemplars", K::Array},
                   {"exemplars/0/round", K::Integer}}});
-  out.push_back({"DiagnosisReport", report.value().to_json(),
+  out.push_back({"DiagnosisReport", test::as_dom(report.value()),
                  via_from_json<monitor::DiagnosisReport>(),
                  {{"version", K::Integer},
                   {"diagnoses", K::Array},
                   {"diagnoses/0/baseline_to", K::Integer}}});
-  out.push_back({"OutageScript", mspec.outages.at(0).to_json(),
+  out.push_back({"OutageScript", test::as_dom(mspec.outages.at(0)),
                  via_from_json<monitor::OutageScript>(),
                  {{"resolver", K::String}, {"from_epoch", K::Integer}, {"to_epoch", K::Integer}}});
-  out.push_back({"MonitorSpec", mspec.to_json(), via_from_json<monitor::MonitorSpec>(),
+  out.push_back({"MonitorSpec", test::as_dom(mspec), via_from_json<monitor::MonitorSpec>(),
                  {{"base/rounds", K::Integer},
                   {"epochs", K::Integer},
                   {"outages", K::Array},
                   {"outages/0/to_epoch", K::Integer},
                   {"slo/window_epochs", K::Integer}}});
-  out.push_back({"EpochSummary", run.value().epochs.at(0).to_json(),
+  out.push_back({"EpochSummary", test::as_dom(run.value().epochs.at(0)),
                  via_from_json<monitor::EpochSummary>(),
                  {{"epoch", K::Integer},
-                  {"seed", K::Integer},
+                  {"seed", K::String},
                   {"queries", K::Integer},
                   {"failures", K::Integer},
                   {"availability", K::Number}}});
-  out.push_back({"MonitorResult", run.value().to_json(), via_from_json<monitor::MonitorResult>(),
-                 {{"spec/epochs", K::Integer},
-                  {"epochs", K::Array},
-                  {"epochs/0/queries", K::Integer},
-                  {"series/bucket_width", K::Integer},
-                  {"series/points", K::Array},
-                  {"series/points/0/bucket", K::Integer},
-                  {"slos", K::Array},
-                  {"slos/0/epoch", K::Integer},
-                  {"events", K::Array},
-                  {"events/0/start_epoch", K::Integer}}});
+  std::vector<Field> result_fields = {{"spec/epochs", K::Integer},
+                                      {"epochs", K::Array},
+                                      {"epochs/0/queries", K::Integer},
+                                      {"epochs/0/seed", K::String},
+                                      {"series/bucket_width", K::Integer},
+                                      {"series/points", K::Array},
+                                      {"series/points/0/bucket", K::Integer},
+                                      {"slos", K::Array},
+                                      {"slos/0/epoch", K::Integer},
+                                      {"events", K::Array},
+                                      {"events/0/start_epoch", K::Integer},
+                                      {"evidence", K::Array},
+                                      {"evidence/0", K::Array}};
+  // Evidence rows are positional: [resolver, vantage, domain, epoch, round,
+  // ok, reused, six phase values(, failure_stage, error_class)].
+  const Kind row_kinds[] = {K::Integer, K::Integer, K::Integer, K::Integer, K::Integer,
+                            K::Bool,    K::Bool,    K::Number,  K::Number,  K::Number,
+                            K::Number,  K::Number,  K::Number};
+  for (std::size_t i = 0; i < std::size(row_kinds); ++i) {
+    result_fields.push_back({"evidence/0/" + std::to_string(i), row_kinds[i]});
+  }
+  const std::string failed = "evidence/" + std::to_string(first_failed_row(run.value()));
+  result_fields.push_back({failed + "/13", K::String});
+  result_fields.push_back({failed + "/14", K::String});
+  out.push_back({"MonitorResult", test::as_dom(run.value()), via_from_json<monitor::MonitorResult>(),
+                 std::move(result_fields)});
   return out;
 }
 
@@ -576,6 +598,64 @@ TEST(HostileJson, EveryDecoderRefusesBadFieldsByName) {
     }
   }
   EXPECT_GT(rows, 500u);  // the table did not silently empty
+}
+
+// Mutations the type table cannot express: values of the right JSON type
+// that the evidence codec must still refuse, each with the words its error
+// must contain.
+TEST(HostileJson, EvidenceAndEpochSeedsAreCheckedAgainstTheSpec) {
+  const monitor::MonitorSpec mspec = small_monitor_spec();
+  const auto run = monitor::run_monitor(mspec, 1);
+  ASSERT_TRUE(run) << run.error();
+  const util::Json good = test::as_dom(run.value());
+  ASSERT_TRUE(monitor::MonitorResult::from_json(good));
+  const std::string failed = "evidence/" + std::to_string(first_failed_row(run.value()));
+
+  struct Mutation {
+    std::string what;
+    std::function<void(util::Json&)> apply;
+    std::string error;
+  };
+  const auto set = [](std::string path, util::Json value) {
+    return [path, value](util::Json& doc) {
+      util::Json* target = slot(doc, path);
+      if (target == nullptr) throw std::logic_error("no slot " + path);
+      *target = value;
+    };
+  };
+  const auto resize = [](std::string path, std::size_t size) {
+    return [path, size](util::Json& doc) {
+      util::Json* target = slot(doc, path);
+      if (target == nullptr) throw std::logic_error("no slot " + path);
+      target->as_array().resize(size, util::Json("connect"));
+    };
+  };
+  const std::vector<Mutation> mutations = {
+      {"resolver index past the list", set("evidence/0/0", util::Json(2)), "resolver index 2"},
+      {"vantage index past the list", set("evidence/0/1", util::Json(1)), "vantage index 1"},
+      {"domain index past the list", set("evidence/0/2", util::Json(3)), "domain index 3"},
+      {"epoch past the spec", set("evidence/0/3", util::Json(4)), "epoch 4"},
+      {"negative epoch", set("evidence/0/3", util::Json(-1)), "epoch -1"},
+      {"round past the spec", set("evidence/0/4", util::Json(1)), "round 1"},
+      {"non-integral epoch", set("evidence/0/3", util::Json(1.5)), "evidence[0]"},
+      {"epoch 1e300", set("evidence/0/3", util::Json(1e300)), "evidence[0]"},
+      {"round 1e300", set("evidence/0/4", util::Json(1e300)), "evidence[0]"},
+      {"ok row with 12 slots", resize("evidence/0", 12), "array of 13"},
+      {"ok row with 15 slots", resize("evidence/0", 15), "ok row has 13"},
+      {"failed row with 13 slots", resize(failed, 13), "ok row has 13"},
+      {"row of 16 slots", resize("evidence/0", 16), "array of 13"},
+      {"seed not hex", set("epochs/0/seed", util::Json("zzzzzzzzzzzzzzzz")), "seed"},
+      {"seed too short", set("epochs/0/seed", util::Json("ff")), "seed"},
+      {"seed in upper case", set("epochs/0/seed", util::Json("FFFFFFFFFFFFFFFF")), "seed"},
+  };
+  for (const Mutation& m : mutations) {
+    util::Json doc = good;
+    m.apply(doc);
+    const auto r = monitor::MonitorResult::from_json(doc);
+    ASSERT_FALSE(r) << m.what << " was accepted";
+    EXPECT_NE(r.error().find(m.error), std::string::npos)
+        << m.what << ": error does not say \"" << m.error << "\": " << r.error();
+  }
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 // thread counts, Prometheus exposition, and the HTML dashboard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/campaign.h"
 #include "core/parallel_campaign.h"
+#include "encode_util.h"
 #include "monitor/diagnose.h"
 #include "monitor/events.h"
 #include "monitor/monitor.h"
@@ -196,7 +199,7 @@ TEST(TimeSeries, SeriesPointCodecAndInsertValidation) {
   ts.observe("lat", "v", "r", "DoH", 0, 42.0);
   const std::vector<obs::SeriesPoint> points = ts.snapshot();
   ASSERT_EQ(points.size(), 1u);
-  auto round = obs::SeriesPoint::from_json(points[0].to_json());
+  auto round = obs::SeriesPoint::from_json(test::as_dom(points[0]));
   ASSERT_TRUE(round) << round.error();
   EXPECT_EQ(round.value().kind, "histogram");
   EXPECT_EQ(round.value().count, 1u);
@@ -313,7 +316,7 @@ TEST(Events, FlapBracketsTransitions) {
   EXPECT_EQ(flap->start_epoch, 1);
   EXPECT_EQ(flap->end_epoch, 3);
 
-  auto round = monitor::MonitorEvent::from_json(flap->to_json());
+  auto round = monitor::MonitorEvent::from_json(test::as_dom(*flap));
   ASSERT_TRUE(round) << round.error();
   EXPECT_EQ(round.value().transitions, 3);
 }
@@ -375,7 +378,7 @@ TEST(FaultWindow, CampaignOutageCoversExactRounds) {
 TEST(Monitor, SpecJsonRoundTripAndValidation) {
   monitor::MonitorSpec spec = small_monitor_spec();
   spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
-  auto round = monitor::MonitorSpec::from_json(spec.to_json());
+  auto round = monitor::MonitorSpec::from_json(test::as_dom(spec));
   ASSERT_TRUE(round) << round.error();
   EXPECT_EQ(round.value().epochs, 6);
   ASSERT_EQ(round.value().outages.size(), 1u);
@@ -401,7 +404,7 @@ TEST(Monitor, ScriptedOutageYieldsExactlyOneOutageEvent) {
   for (const monitor::MonitorEvent& e : mon.events) {
     if (e.type == "outage") outages.push_back(&e);
   }
-  ASSERT_EQ(outages.size(), 1u) << monitor::events_to_json(mon.events).dump(2);
+  ASSERT_EQ(outages.size(), 1u) << monitor::events_json(mon.events);
   EXPECT_EQ(outages[0]->resolver, "dns.google");
   EXPECT_EQ(outages[0]->vantage, "ec2-ohio");
   EXPECT_EQ(outages[0]->start_epoch, 2);
@@ -427,7 +430,7 @@ TEST(Monitor, RunIsByteIdenticalAcrossThreadCounts) {
   auto many = monitor::run_monitor(spec, 8);
   ASSERT_TRUE(one) << one.error();
   ASSERT_TRUE(many) << many.error();
-  EXPECT_EQ(one.value().to_json().dump(0), many.value().to_json().dump(0));
+  EXPECT_EQ(test::encode(one.value()), test::encode(many.value()));
   EXPECT_EQ(one.value().series.to_binary(), many.value().series.to_binary());
   EXPECT_EQ(one.value().series.jsonl(), many.value().series.jsonl());
 }
@@ -439,16 +442,16 @@ TEST(Monitor, ResultJsonRoundTripReproducesEvaluation) {
   auto result = monitor::run_monitor(spec, 2);
   ASSERT_TRUE(result) << result.error();
 
-  auto round = monitor::MonitorResult::from_json(result.value().to_json());
+  auto round = monitor::MonitorResult::from_json(test::as_dom(result.value()));
   ASSERT_TRUE(round) << round.error();
-  EXPECT_EQ(round.value().to_json().dump(0), result.value().to_json().dump(0));
+  EXPECT_EQ(test::encode(round.value()), test::encode(result.value()));
 
   // evaluate_result on the decoded series re-derives the same SLOs/events.
   monitor::MonitorResult re = round.value();
   re.slos.clear();
   re.events.clear();
   monitor::evaluate_result(re);
-  EXPECT_EQ(re.to_json().dump(0), result.value().to_json().dump(0));
+  EXPECT_EQ(test::encode(re), test::encode(result.value()));
 }
 
 TEST(Monitor, PrometheusExposition) {
@@ -537,7 +540,7 @@ TEST(Slo, DegradationWindowStartingAtEpochZero) {
   EXPECT_EQ(slos[3].state, "healthy");
 
   const auto events = monitor::detect_events(slos, config);
-  ASSERT_EQ(events.size(), 1u) << monitor::events_to_json(events).dump(2);
+  ASSERT_EQ(events.size(), 1u) << monitor::events_json(events);
   EXPECT_EQ(events[0].type, "degradation");
   EXPECT_EQ(events[0].start_epoch, 0);
   EXPECT_EQ(events[0].end_epoch, 2);
@@ -568,14 +571,14 @@ TEST(Events, BackToBackFlapsBracketFirstAndLastTransition) {
     if (e.type == "outage") outages.push_back(&e);
   }
   // Three single-epoch outages, each a maximal run with exact bounds.
-  ASSERT_EQ(outages.size(), 3u) << monitor::events_to_json(events).dump(2);
+  ASSERT_EQ(outages.size(), 3u) << monitor::events_json(events);
   for (std::size_t i = 0; i < outages.size(); ++i) {
     EXPECT_EQ(outages[i]->start_epoch, static_cast<int>(2 * i));
     EXPECT_EQ(outages[i]->end_epoch, static_cast<int>(2 * i));
   }
   // One flap: five transitions, bracketed by the first (epoch 1) and last
   // (epoch 5) state change.
-  ASSERT_EQ(flaps.size(), 1u) << monitor::events_to_json(events).dump(2);
+  ASSERT_EQ(flaps.size(), 1u) << monitor::events_json(events);
   EXPECT_EQ(flaps[0]->transitions, 5);
   EXPECT_EQ(flaps[0]->start_epoch, 1);
   EXPECT_EQ(flaps[0]->end_epoch, 5);
@@ -708,7 +711,7 @@ TEST(Diagnose, ReportByteIdenticalAcrossThreadCounts) {
   auto many = monitor::diagnose_events(result.value(), 8);
   ASSERT_TRUE(one) << one.error();
   ASSERT_TRUE(many) << many.error();
-  EXPECT_EQ(one.value().to_json().dump(0), many.value().to_json().dump(0));
+  EXPECT_EQ(test::encode(one.value()), test::encode(many.value()));
 }
 
 TEST(Diagnose, ReportCodecRoundTripsAndChecksVersion) {
@@ -719,13 +722,150 @@ TEST(Diagnose, ReportCodecRoundTripsAndChecksVersion) {
   auto report = monitor::diagnose_events(result.value(), 2);
   ASSERT_TRUE(report) << report.error();
 
-  auto round = monitor::DiagnosisReport::from_json(report.value().to_json());
+  auto round = monitor::DiagnosisReport::from_json(test::as_dom(report.value()));
   ASSERT_TRUE(round) << round.error();
-  EXPECT_EQ(round.value().to_json().dump(0), report.value().to_json().dump(0));
+  EXPECT_EQ(test::encode(round.value()), test::encode(report.value()));
 
-  util::Json j = report.value().to_json();
+  util::Json j = test::as_dom(report.value());
   j.as_object()["version"] = util::Json(99);
   EXPECT_FALSE(monitor::DiagnosisReport::from_json(j));
+}
+
+// The re-simulating path diagnosis used before the monitor kept evidence,
+// now only the reference for it: run every epoch's campaign again and
+// flatten its records.
+std::vector<monitor::EvidenceRow> resimulated_evidence(const monitor::MonitorSpec& spec) {
+  const std::vector<std::uint64_t> seeds =
+      core::shard_seeds(spec.base.seed, static_cast<std::size_t>(spec.epochs));
+  const auto index = [](const std::vector<std::string>& names, const std::string& name) {
+    return static_cast<std::uint32_t>(std::find(names.begin(), names.end(), name) -
+                                      names.begin());
+  };
+  std::vector<monitor::EvidenceRow> rows;
+  for (int e = 0; e < spec.epochs; ++e) {
+    const core::CampaignResult campaign = core::run_parallel_campaign(
+        monitor::epoch_campaign_spec(spec, seeds[static_cast<std::size_t>(e)], e), 1);
+    for (const core::ResultRecord& r : campaign.records) {
+      monitor::EvidenceRow row;
+      row.resolver = index(spec.base.resolvers, r.resolver);
+      row.vantage = index(spec.base.vantage_ids, r.vantage);
+      row.domain = index(spec.base.domains, r.domain);
+      row.epoch = e;
+      row.round = r.round;
+      row.ok = r.ok;
+      row.reused = r.connection_reused;
+      row.response_ms = r.response_ms;
+      row.tcp_ms = r.tcp_handshake_ms;
+      row.tls_ms = r.tls_handshake_ms;
+      row.quic_ms = r.quic_handshake_ms;
+      row.wait_ms = r.pool_wait_ms;
+      row.exchange_ms = r.exchange_ms;
+      if (!r.ok) {
+        row.failure_stage = r.failure_stage;
+        row.error_class = r.error_class;
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+TEST(Diagnose, KeptEvidenceMatchesResimulatedEpochs) {
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.base.vantage_ids = {"ec2-ohio", "ec2-frankfurt"};
+  spec.epochs = 4;
+  spec.outages.push_back(monitor::OutageScript{"dns.google", 1, 3});
+  auto result = monitor::run_monitor(spec, 2);
+  ASSERT_TRUE(result) << result.error();
+
+  const std::vector<monitor::EvidenceRow>& kept = result.value().evidence;
+  const std::vector<monitor::EvidenceRow> expected = resimulated_evidence(spec);
+  ASSERT_EQ(kept.size(), expected.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    ASSERT_EQ(kept[i], expected[i]) << "row " << i;
+  }
+  // The scripted outage leaves failed rows, which carry their stage.
+  const auto failed = std::count_if(kept.begin(), kept.end(), [](const monitor::EvidenceRow& r) {
+    return !r.ok && r.failure_stage == "connect";
+  });
+  EXPECT_GT(failed, 0);
+}
+
+TEST(Diagnose, ReportFromDecodedFileMatchesInMemory) {
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
+  auto result = monitor::run_monitor(spec, 1);
+  ASSERT_TRUE(result) << result.error();
+  auto decoded = monitor::MonitorResult::from_json(test::as_dom(result.value()));
+  ASSERT_TRUE(decoded) << decoded.error();
+  EXPECT_EQ(decoded.value().evidence, result.value().evidence);
+
+  auto direct = monitor::diagnose_events(result.value(), 1);
+  auto from_file = monitor::diagnose_events(decoded.value(), 1);
+  ASSERT_TRUE(direct) << direct.error();
+  ASSERT_TRUE(from_file) << from_file.error();
+  EXPECT_EQ(test::encode(direct.value()), test::encode(from_file.value()));
+}
+
+TEST(Diagnose, RefusesEventsWithoutEvidence) {
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
+  auto result = monitor::run_monitor(spec, 1);
+  ASSERT_TRUE(result) << result.error();
+  ASSERT_FALSE(result.value().events.empty());
+
+  // Rows outside the event windows only: every event is uncovered.
+  monitor::MonitorResult gapped = result.value();
+  std::erase_if(gapped.evidence, [&](const monitor::EvidenceRow& row) {
+    return std::any_of(gapped.events.begin(), gapped.events.end(),
+                       [&](const monitor::MonitorEvent& ev) {
+                         return row.epoch >= ev.start_epoch && row.epoch <= ev.end_epoch;
+                       });
+  });
+  ASSERT_FALSE(gapped.evidence.empty());
+  auto report = monitor::diagnose_events(gapped, 1);
+  ASSERT_FALSE(report);
+  EXPECT_NE(report.error().find("no evidence"), std::string::npos) << report.error();
+
+  // A result with no evidence at all, as files written before it existed.
+  monitor::MonitorResult bare = result.value();
+  bare.evidence.clear();
+  EXPECT_FALSE(monitor::diagnose_events(bare, 1));
+
+  // A row naming a resolver the spec does not list.
+  monitor::MonitorResult stray = result.value();
+  stray.evidence.front().resolver = 7;
+  auto stray_report = monitor::diagnose_events(stray, 1);
+  ASSERT_FALSE(stray_report);
+  EXPECT_NE(stray_report.error().find("resolver index 7"), std::string::npos)
+      << stray_report.error();
+
+  // Without events there is nothing to cover.
+  bare.events.clear();
+  auto empty = monitor::diagnose_events(bare, 1);
+  ASSERT_TRUE(empty) << empty.error();
+  EXPECT_TRUE(empty.value().diagnoses.empty());
+}
+
+TEST(Monitor, EpochSeedsRoundTripAllSixtyFourBits) {
+  monitor::EpochSummary summary;
+  summary.epoch = 3;
+  summary.seed = std::numeric_limits<std::uint64_t>::max();
+  const std::string bytes = test::encode(summary);
+  EXPECT_NE(bytes.find("\"seed\":\"ffffffffffffffff\""), std::string::npos) << bytes;
+  auto back = monitor::EpochSummary::from_json(test::as_dom(summary));
+  ASSERT_TRUE(back) << back.error();
+  EXPECT_EQ(back.value().seed, summary.seed);
+
+  // Derived epoch seeds use all 64 bits; a whole monitor file keeps them.
+  auto result = monitor::run_monitor(small_monitor_spec(), 1);
+  ASSERT_TRUE(result) << result.error();
+  auto decoded = monitor::MonitorResult::from_json(test::as_dom(result.value()));
+  ASSERT_TRUE(decoded) << decoded.error();
+  ASSERT_EQ(decoded.value().epochs.size(), result.value().epochs.size());
+  for (std::size_t i = 0; i < decoded.value().epochs.size(); ++i) {
+    EXPECT_EQ(decoded.value().epochs[i].seed, result.value().epochs[i].seed) << "epoch " << i;
+  }
 }
 
 TEST(Diagnose, RejectsInvalidInputs) {

@@ -251,9 +251,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Attribution cost rides along in the ledger: diagnose re-runs the
-    // event-adjacent epochs and scores every event. diagnose_wall_ms is a
-    // wall-only lane (outside perfgate's deterministic sim-field list).
+    // Attribution cost rides along in the ledger: diagnose scores every event
+    // from the evidence rows the monitor kept, with no simulation.
+    // diagnose_wall_ms is a wall-only lane (outside perfgate's deterministic
+    // sim-field list).
     double best_diagnose_ms = 0.0;
     std::size_t diagnoses = 0;
     {

@@ -13,22 +13,23 @@
 //   ednsm_monitor run --spec monitor_spec.json [--threads N] [--out ...]
 //   ednsm_monitor slo --in monitor.json [--json]
 //   ednsm_monitor events --in monitor.json
-//   ednsm_monitor diagnose --in monitor.json [--threads N] [--baseline K]
-//                 [--exemplars N] [--json] [--out diagnosis.json]
+//   ednsm_monitor diagnose --in monitor.json [--baseline K] [--exemplars N]
+//                 [--json] [--out diagnosis.json]
 //   ednsm_monitor export --prom --in monitor.json
 //
-// `diagnose` re-runs each event's epochs from the spec's derived seeds (the
-// monitor output has no per-query records) and attributes every event to a
-// ranked cause; see monitor/diagnose.h.
+// `diagnose` attributes every event to a ranked cause from the per-query
+// evidence rows the monitor file keeps; it simulates nothing. See
+// monitor/diagnose.h.
 //
 // The run and diagnose outputs are pure functions of the spec:
-// byte-identical series, SLO, event, and diagnosis files for any --threads
-// value.
+// byte-identical series, SLO, event, evidence and diagnosis files for any
+// `run --threads` value.
 //
 // Exit codes: 0 ok, 1 bad usage, 2 invalid spec, 3 I/O error.
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,13 @@ bool apply_run_flags(const Args& args, monitor::MonitorSpec& spec) {
   return true;
 }
 
+// `samples` as a JSON array at indent 2, with a trailing newline.
+std::string slos_json(const std::vector<monitor::SloSample>& samples) {
+  util::JsonWriter w(2);
+  monitor::slos_to_json(samples, w);
+  return std::move(w).take() + "\n";
+}
+
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) {
@@ -233,13 +241,10 @@ int cmd_run(const Args& args) {
               static_cast<std::streamsize>(blob.size()));
   }
   if (const std::string* p = args.get("slo-out")) {
-    util::JsonArray arr;
-    arr.reserve(mon.slos.size());
-    for (const monitor::SloSample& s : mon.slos) arr.push_back(s.to_json());
-    if (!write_file(*p, util::Json(std::move(arr)).dump(2) + "\n")) return 3;
+    if (!write_file(*p, slos_json(mon.slos))) return 3;
   }
   if (const std::string* p = args.get("events-out")) {
-    if (!write_file(*p, monitor::events_to_json(mon.events).dump(2) + "\n")) return 3;
+    if (!write_file(*p, monitor::events_json(mon.events) + "\n")) return 3;
   }
 
   std::size_t outages = 0;
@@ -256,10 +261,7 @@ int cmd_slo(const Args& args) {
     return 3;
   }
   if (args.json) {
-    util::JsonArray arr;
-    arr.reserve(result.value().slos.size());
-    for (const monitor::SloSample& s : result.value().slos) arr.push_back(s.to_json());
-    std::printf("%s\n", util::Json(std::move(arr)).dump(2).c_str());
+    std::fputs(slos_json(result.value().slos).c_str(), stdout);
     return 0;
   }
   std::printf("%-12s %-28s %5s %9s %9s %8s %8s %8s  %s\n", "vantage", "resolver", "epoch",
@@ -278,30 +280,36 @@ int cmd_events(const Args& args) {
     std::fprintf(stderr, "error: %s\n", result.error().c_str());
     return 3;
   }
-  std::printf("%s\n", monitor::events_to_json(result.value().events).dump(2).c_str());
+  std::printf("%s\n", monitor::events_json(result.value().events).c_str());
   return 0;
 }
 
 int cmd_diagnose(const Args& args) {
+  for (const auto& [flag, value] : args.options) {
+    if (flag != "in" && flag != "baseline" && flag != "exemplars" && flag != "out") {
+      std::fprintf(stderr, "error: diagnose takes no --%s\n", flag.c_str());
+      return 1;
+    }
+  }
+  monitor::DiagnoseOptions opts;
+  if (!tools::count_flag(args.options, "baseline", opts.baseline_epochs, 1) ||
+      !tools::count_flag(args.options, "exemplars", opts.max_exemplars)) {
+    return 1;
+  }
   auto result = load_result(args);
   if (!result) {
     std::fprintf(stderr, "error: %s\n", result.error().c_str());
     return 3;
   }
-  int threads = 1;
-  monitor::DiagnoseOptions opts;
-  if (!tools::count_flag(args.options, "threads", threads, 1) ||
-      !tools::count_flag(args.options, "baseline", opts.baseline_epochs, 1) ||
-      !tools::count_flag(args.options, "exemplars", opts.max_exemplars)) {
-    return 1;
-  }
 
-  auto report = monitor::diagnose_events(result.value(), threads, opts);
+  auto report = monitor::diagnose_events(result.value(), 1, opts);
   if (!report) {
     std::fprintf(stderr, "error: %s\n", report.error().c_str());
     return 2;
   }
-  const std::string payload = report.value().to_json().dump(2) + "\n";
+  std::ostringstream os;
+  report.value().write_json(os);
+  const std::string payload = std::move(os).str();
   if (const std::string* out_path = args.get("out")) {
     if (!write_file(*out_path, payload)) return 3;
   }
