@@ -75,7 +75,8 @@ void CampaignResult::to_json(util::JsonWriter& w) const {
   w.key("records").begin_array();
   for (const ResultRecord& r : records) r.to_json(w);
   w.end_array();
-  w.key("spec").value(spec.to_json());
+  w.key("spec");
+  spec.to_json(w);
   w.end_object();
 }
 

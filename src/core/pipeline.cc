@@ -7,6 +7,7 @@
 #include "core/scheduler.h"
 #include "core/world.h"
 #include "netsim/rng.h"
+#include "util/bytes.h"
 
 namespace ednsm::core {
 
@@ -161,13 +162,9 @@ std::vector<ShardPlan> slice_plans(const std::vector<ShardPlan>& plans, const Sh
 }
 
 std::uint64_t spec_fingerprint(const MeasurementSpec& spec) {
-  const std::string canonical = spec.to_json().dump();
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-  return h;
+  util::JsonWriter w;
+  spec.to_json(w);
+  return util::fnv1a(std::move(w).take());
 }
 
 ShardOutcome run_shard(const MeasurementSpec& spec, const ShardPlan& plan,

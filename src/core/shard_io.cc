@@ -56,7 +56,8 @@ void ShardFile::to_json(util::JsonWriter& w) const {
   w.key("k").value(static_cast<std::uint64_t>(slice.k));
   w.key("n").value(static_cast<std::uint64_t>(slice.n));
   w.end_object();
-  w.key("spec").value(spec.to_json());
+  w.key("spec");
+  spec.to_json(w);
   w.key("spec_fingerprint").value(util::u64_to_hex(spec_fingerprint(spec)));
   w.key("total_shards").value(static_cast<std::uint64_t>(total_shards));
   w.key("version").value(kVersion);

@@ -3,15 +3,16 @@
 #include <cmath>
 #include <optional>
 
+#include "util/bytes.h"
+
 namespace ednsm::core {
 
 namespace {
 
-util::Json string_array(const std::vector<std::string>& v) {
-  util::JsonArray arr;
-  arr.reserve(v.size());
-  for (const std::string& s : v) arr.emplace_back(s);
-  return util::Json(std::move(arr));
+void write_strings(util::JsonWriter& w, std::string_view key, const std::vector<std::string>& v) {
+  w.key(key).begin_array();
+  for (const std::string& s : v) w.value(s);
+  w.end_array();
 }
 
 std::string_view protocol_name(client::Protocol p) { return client::to_string(p); }
@@ -33,12 +34,14 @@ Result<client::Protocol> parse_protocol(const std::string& s) {
 
 }  // namespace
 
-util::Json FaultWindow::to_json() const {
-  util::JsonObject o;
-  o["resolver"] = resolver;
-  o["from_round"] = from_round;
-  o["to_round"] = to_round;
-  return util::Json(std::move(o));
+// Keys in sorted order, as Json::dump writes objects; the results golden pins
+// MeasurementSpec's, and FaultWindow follows the same rule.
+void FaultWindow::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("from_round").value(from_round);
+  w.key("resolver").value(resolver);
+  w.key("to_round").value(to_round);
+  w.end_object();
 }
 
 Result<FaultWindow> FaultWindow::from_json(const util::Json& j) {
@@ -72,30 +75,30 @@ Result<void> MeasurementSpec::validate() const {
   return {};
 }
 
-util::Json MeasurementSpec::to_json() const {
-  util::JsonObject o;
-  o["resolvers"] = string_array(resolvers);
-  o["domains"] = string_array(domains);
-  o["vantage_ids"] = string_array(vantage_ids);
-  o["protocol"] = std::string(protocol_name(protocol));
-  o["rounds"] = rounds;
-  o["round_interval_s"] =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::seconds>(round_interval).count());
-  o["ping_timeout_ms"] = netsim::to_ms(ping_timeout);
-  o["timeout_ms"] = netsim::to_ms(query_options.timeout);
-  o["reuse"] = std::string(transport::to_string(query_options.reuse));
-  o["use_post"] = query_options.use_post;
-  o["use_http2"] = query_options.use_http2;
-  o["early_data"] = query_options.offer_early_data;
-  o["pad_block"] = static_cast<std::uint64_t>(query_options.pad_block);
-  o["seed"] = seed;
+void MeasurementSpec::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  write_strings(w, "domains", domains);
+  w.key("early_data").value(query_options.offer_early_data);
   if (!fault_windows.empty()) {
-    util::JsonArray arr;
-    arr.reserve(fault_windows.size());
-    for (const FaultWindow& w : fault_windows) arr.push_back(w.to_json());
-    o["fault_windows"] = util::Json(std::move(arr));
+    w.key("fault_windows").begin_array();
+    for (const FaultWindow& fw : fault_windows) fw.to_json(w);
+    w.end_array();
   }
-  return util::Json(std::move(o));
+  w.key("pad_block").value(static_cast<std::uint64_t>(query_options.pad_block));
+  w.key("ping_timeout_ms").value(netsim::to_ms(ping_timeout));
+  w.key("protocol").value(protocol_name(protocol));
+  write_strings(w, "resolvers", resolvers);
+  w.key("reuse").value(transport::to_string(query_options.reuse));
+  w.key("round_interval_s")
+      .value(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::seconds>(round_interval).count()));
+  w.key("rounds").value(rounds);
+  w.key("seed").value(util::u64_to_hex(seed));
+  w.key("timeout_ms").value(netsim::to_ms(query_options.timeout));
+  w.key("use_http2").value(query_options.use_http2);
+  w.key("use_post").value(query_options.use_post);
+  write_strings(w, "vantage_ids", vantage_ids);
+  w.end_object();
 }
 
 Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
@@ -105,6 +108,10 @@ Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
   std::optional<std::int64_t> round_interval_s;
   std::optional<double> ping_timeout_ms;
   std::optional<double> timeout_ms;
+  std::optional<std::string> seed;
+  // Seeds use all 64 bits, which a JSON number cannot hold.
+  const std::string seed_format = "spec: seed must be a string of 16 lowercase hex digits";
+  if (j.is_object() && j.at("seed").is_number()) return Err{seed_format + ", not a number"};
   util::JsonFields f(j, "spec");
   f.required("resolvers", spec.resolvers)
       .required("domains", spec.domains)
@@ -119,9 +126,14 @@ Result<MeasurementSpec> MeasurementSpec::from_json(const util::Json& j) {
       .optional("early_data", spec.query_options.offer_early_data)
       .optional("pad_block", spec.query_options.pad_block)
       .optional("reuse", reuse)
-      .optional("seed", spec.seed)
+      .optional("seed", seed)
       .optional("fault_windows", spec.fault_windows);
   if (!f) return Err{f.error()};
+  if (seed.has_value()) {
+    auto parsed = util::u64_from_hex(*seed);
+    if (!parsed) return Err{seed_format + " (got \"" + *seed + "\")"};
+    spec.seed = parsed.value();
+  }
 
   auto proto = parse_protocol(protocol);
   if (!proto) return Err{proto.error()};

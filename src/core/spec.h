@@ -25,7 +25,7 @@ struct FaultWindow {
   int from_round = 0;
   int to_round = 0;
 
-  [[nodiscard]] util::Json to_json() const;
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<FaultWindow> from_json(const util::Json& j);
 };
 
@@ -48,7 +48,9 @@ struct MeasurementSpec {
   // explanation on failure.
   [[nodiscard]] Result<void> validate() const;
 
-  [[nodiscard]] util::Json to_json() const;
+  // `seed` is written as util::u64_to_hex (16 lowercase hex digits): a JSON
+  // number holds only 53 bits, so a numeric seed is refused on read.
+  void to_json(util::JsonWriter& w) const;
   [[nodiscard]] static Result<MeasurementSpec> from_json(const util::Json& j);
 };
 

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <string_view>
+#include <tuple>
 
 #include "geo/vantage.h"
+#include "stats/quantile.h"
 
 namespace ednsm::monitor {
 
@@ -37,20 +39,35 @@ std::string region_of_vantage(const std::string& id) {
   return "Unknown";
 }
 
-DiagnosisScope classify_scope(const std::vector<obs::QueryEvidence>& all_rows,
+// Vantage indices of `names`, sorted by name; a repeated name keeps its first
+// index, as the evidence rows do.
+std::vector<std::uint32_t> by_name(const std::vector<std::string>& names) {
+  std::vector<std::uint32_t> order(names.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&names](std::uint32_t a, std::uint32_t b) { return names[a] < names[b]; });
+  order.erase(std::unique(order.begin(), order.end(),
+                          [&names](std::uint32_t a, std::uint32_t b) {
+                            return names[a] == names[b];
+                          }),
+              order.end());
+  return order;
+}
+
+// Every vantage's view of the event's resolver, in vantage-name order.
+DiagnosisScope classify_scope(const MonitorResult& result, std::uint32_t resolver,
                               int baseline_from, int baseline_to, int window_from,
                               int window_to) {
-  // Deterministic per-vantage split: sorted map, evidence order irrelevant.
-  std::map<std::string, std::vector<obs::QueryEvidence>> by_vantage;
-  for (const obs::QueryEvidence& row : all_rows) by_vantage[row.vantage].push_back(row);
-
+  const std::vector<std::string>& vantages = result.spec.base.vantage_ids;
   DiagnosisScope scope;
   std::set<std::string> regions;
-  for (const auto& [vantage, rows] : by_vantage) {
-    const obs::PhaseProfile window = obs::profile_phases(rows, window_from, window_to);
+  for (const std::uint32_t vantage : by_name(vantages)) {
+    const PhaseProfile window =
+        profile_phases(result.evidence, {resolver, vantage, window_from, window_to});
     if (window.queries == 0) continue;
     ++scope.vantages_observed;
-    const obs::PhaseProfile base = obs::profile_phases(rows, baseline_from, baseline_to);
+    const PhaseProfile base =
+        profile_phases(result.evidence, {resolver, vantage, baseline_from, baseline_to});
     bool affected = false;
     if (base.queries == 0) {
       affected = window.availability < kNoBaselineAffectedBelow;
@@ -61,8 +78,8 @@ DiagnosisScope classify_scope(const std::vector<obs::QueryEvidence>& all_rows,
       }
     }
     if (affected) {
-      scope.affected_vantages.push_back(vantage);
-      regions.insert(region_of_vantage(vantage));
+      scope.affected_vantages.push_back(vantages[vantage]);
+      regions.insert(region_of_vantage(vantages[vantage]));
     }
   }
   scope.affected_regions.assign(regions.begin(), regions.end());
@@ -78,7 +95,7 @@ DiagnosisScope classify_scope(const std::vector<obs::QueryEvidence>& all_rows,
 }
 
 std::vector<CauseVerdict> rank_causes(const Diagnosis& d) {
-  const obs::StageBreakdown& st = d.stages;
+  const StageBreakdown& st = d.stages;
   const std::uint64_t failures = st.total();
   const std::uint64_t successes = d.window.queries - d.window.failures;
   const double fail_frac =
@@ -159,8 +176,240 @@ std::vector<CauseVerdict> rank_causes(const Diagnosis& d) {
 
 }  // namespace
 
+std::string_view StageBreakdown::dominant() const noexcept {
+  if (total() == 0) return {};
+  std::string_view name = "connect";
+  std::uint64_t best = connect;
+  const std::pair<std::string_view, std::uint64_t> rest[] = {
+      {"handshake", handshake}, {"query", query}, {"timeout", timeout}, {"other", other}};
+  for (const auto& [candidate, count] : rest) {
+    if (count > best) {
+      best = count;
+      name = candidate;
+    }
+  }
+  return name;
+}
+
 // Keys in sorted order, as Json::dump writes objects; the diagnosis golden
 // pins it. The other encoders in this file follow the same rule.
+void StageBreakdown::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("connect").value(connect);
+  w.key("handshake").value(handshake);
+  w.key("other").value(other);
+  w.key("query").value(query);
+  w.key("timeout").value(timeout);
+  w.end_object();
+}
+
+Result<StageBreakdown> StageBreakdown::from_json(const util::Json& j) {
+  StageBreakdown b;
+  util::JsonFields f(j, "stage breakdown");
+  f.optional("connect", b.connect)
+      .optional("handshake", b.handshake)
+      .optional("query", b.query)
+      .optional("timeout", b.timeout)
+      .optional("other", b.other);
+  return f.result(b);
+}
+
+void PhaseProfile::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("availability").value(availability);
+  w.key("exchange_ms").value(exchange_ms);
+  w.key("failures").value(failures);
+  w.key("queries").value(queries);
+  w.key("quic_ms").value(quic_ms);
+  w.key("response_ms").value(response_ms);
+  w.key("reused_fraction").value(reused_fraction);
+  w.key("tcp_ms").value(tcp_ms);
+  w.key("tls_ms").value(tls_ms);
+  w.key("wait_ms").value(wait_ms);
+  w.end_object();
+}
+
+Result<PhaseProfile> PhaseProfile::from_json(const util::Json& j) {
+  PhaseProfile p;
+  util::JsonFields f(j, "phase profile");
+  f.optional("queries", p.queries)
+      .optional("failures", p.failures)
+      .optional("availability", p.availability)
+      .optional("reused_fraction", p.reused_fraction)
+      .optional("response_ms", p.response_ms)
+      .optional("tcp_ms", p.tcp_ms)
+      .optional("tls_ms", p.tls_ms)
+      .optional("quic_ms", p.quic_ms)
+      .optional("wait_ms", p.wait_ms)
+      .optional("exchange_ms", p.exchange_ms);
+  return f.result(p);
+}
+
+void PhaseDelta::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("availability").value(availability);
+  w.key("exchange_ms").value(exchange_ms);
+  w.key("quic_ms").value(quic_ms);
+  w.key("response_ms").value(response_ms);
+  w.key("reused_fraction").value(reused_fraction);
+  w.key("tcp_ms").value(tcp_ms);
+  w.key("tls_ms").value(tls_ms);
+  w.key("wait_ms").value(wait_ms);
+  w.end_object();
+}
+
+Result<PhaseDelta> PhaseDelta::from_json(const util::Json& j) {
+  PhaseDelta d;
+  util::JsonFields f(j, "phase delta");
+  f.optional("availability", d.availability)
+      .optional("reused_fraction", d.reused_fraction)
+      .optional("response_ms", d.response_ms)
+      .optional("tcp_ms", d.tcp_ms)
+      .optional("tls_ms", d.tls_ms)
+      .optional("quic_ms", d.quic_ms)
+      .optional("wait_ms", d.wait_ms)
+      .optional("exchange_ms", d.exchange_ms);
+  return f.result(d);
+}
+
+void Exemplar::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.key("domain").value(domain);
+  w.key("epoch").value(epoch);
+  w.key("error_class").value(error_class);
+  w.key("failure_stage").value(failure_stage);
+  w.key("flight_ref").value(flight_ref);
+  w.key("ok").value(ok);
+  w.key("response_ms").value(response_ms);
+  w.key("round").value(round);
+  w.key("vantage").value(vantage);
+  w.end_object();
+}
+
+Result<Exemplar> Exemplar::from_json(const util::Json& j) {
+  Exemplar e;
+  util::JsonFields f(j, "exemplar");
+  f.optional("vantage", e.vantage)
+      .optional("domain", e.domain)
+      .optional("epoch", e.epoch)
+      .optional("round", e.round)
+      .optional("ok", e.ok)
+      .optional("response_ms", e.response_ms)
+      .optional("failure_stage", e.failure_stage)
+      .optional("error_class", e.error_class)
+      .optional("flight_ref", e.flight_ref);
+  return f.result(std::move(e));
+}
+
+StageBreakdown count_stages(const std::vector<EvidenceRow>& rows, const RowFilter& filter) {
+  StageBreakdown b;
+  for (const EvidenceRow& row : rows) {
+    if (row.ok || !filter.matches(row)) continue;
+    if (row.failure_stage == "connect") {
+      ++b.connect;
+    } else if (row.failure_stage == "handshake") {
+      ++b.handshake;
+    } else if (row.failure_stage == "query") {
+      ++b.query;
+    } else if (row.failure_stage == "timeout") {
+      ++b.timeout;
+    } else {
+      ++b.other;
+    }
+  }
+  return b;
+}
+
+PhaseProfile profile_phases(const std::vector<EvidenceRow>& rows, const RowFilter& filter) {
+  PhaseProfile p;
+  std::vector<double> response, tcp, tls, quic, wait, exchange;
+  std::uint64_t reused = 0;
+  for (const EvidenceRow& row : rows) {
+    if (!filter.matches(row)) continue;
+    ++p.queries;
+    if (!row.ok) {
+      ++p.failures;
+      continue;
+    }
+    if (row.reused) ++reused;
+    response.push_back(row.response_ms);
+    tcp.push_back(row.tcp_ms);
+    tls.push_back(row.tls_ms);
+    quic.push_back(row.quic_ms);
+    wait.push_back(row.wait_ms);
+    exchange.push_back(row.exchange_ms);
+  }
+  if (p.queries > 0) {
+    p.availability = 1.0 - static_cast<double>(p.failures) / static_cast<double>(p.queries);
+  }
+  if (!response.empty()) {
+    p.reused_fraction = static_cast<double>(reused) / static_cast<double>(response.size());
+    p.response_ms = stats::median(std::move(response));
+    p.tcp_ms = stats::median(std::move(tcp));
+    p.tls_ms = stats::median(std::move(tls));
+    p.quic_ms = stats::median(std::move(quic));
+    p.wait_ms = stats::median(std::move(wait));
+    p.exchange_ms = stats::median(std::move(exchange));
+  }
+  return p;
+}
+
+PhaseDelta phase_delta(const PhaseProfile& baseline, const PhaseProfile& window) {
+  PhaseDelta d;
+  d.availability = window.availability - baseline.availability;
+  d.reused_fraction = window.reused_fraction - baseline.reused_fraction;
+  d.response_ms = window.response_ms - baseline.response_ms;
+  d.tcp_ms = window.tcp_ms - baseline.tcp_ms;
+  d.tls_ms = window.tls_ms - baseline.tls_ms;
+  d.quic_ms = window.quic_ms - baseline.quic_ms;
+  d.wait_ms = window.wait_ms - baseline.wait_ms;
+  d.exchange_ms = window.exchange_ms - baseline.exchange_ms;
+  return d;
+}
+
+std::vector<Exemplar> pick_exemplars(const core::MeasurementSpec& base,
+                                     const std::vector<EvidenceRow>& rows,
+                                     const RowFilter& filter, std::size_t limit) {
+  std::vector<const EvidenceRow*> failures, successes;
+  for (const EvidenceRow& row : rows) {
+    if (!filter.matches(row)) continue;
+    (row.ok ? successes : failures).push_back(&row);
+  }
+  const auto coords = [&base](const EvidenceRow* r) {
+    return std::tie(r->epoch, base.vantage_ids[r->vantage], r->round, base.domains[r->domain]);
+  };
+  std::sort(failures.begin(), failures.end(),
+            [&](const EvidenceRow* a, const EvidenceRow* b) { return coords(a) < coords(b); });
+  std::sort(successes.begin(), successes.end(),
+            [&](const EvidenceRow* a, const EvidenceRow* b) {
+              if (a->response_ms != b->response_ms) return a->response_ms > b->response_ms;
+              return coords(a) < coords(b);
+            });
+
+  std::vector<Exemplar> out;
+  const auto take = [&out, &base](const EvidenceRow& row) {
+    Exemplar e;
+    e.vantage = base.vantage_ids[row.vantage];
+    e.domain = base.domains[row.domain];
+    e.epoch = row.epoch;
+    e.round = row.round;
+    e.ok = row.ok;
+    e.response_ms = row.response_ms;
+    e.failure_stage = row.failure_stage;
+    e.error_class = row.error_class;
+    out.push_back(std::move(e));
+  };
+  for (const EvidenceRow* row : failures) {
+    if (out.size() >= limit) return out;
+    take(*row);
+  }
+  for (const EvidenceRow* row : successes) {
+    if (out.size() >= limit) return out;
+    take(*row);
+  }
+  return out;
+}
+
 void CauseVerdict::to_json(util::JsonWriter& w) const {
   w.begin_object();
   w.key("cause").value(cause);
@@ -215,7 +464,7 @@ void Diagnosis::to_json(util::JsonWriter& w) const {
   w.key("event");
   event.to_json(w);
   w.key("exemplars").begin_array();
-  for (const obs::Exemplar& e : exemplars) e.to_json(w);
+  for (const Exemplar& e : exemplars) e.to_json(w);
   w.end_array();
   w.key("scope");
   scope.to_json(w);
@@ -283,7 +532,8 @@ void DiagnosisReport::write_json(std::ostream& os, int indent) const {
 
 namespace {
 
-// Position of `name` in `names`, or nullopt.
+// Position of `name` in `names`, or nullopt; the first of repeated names,
+// as in the evidence rows.
 std::optional<std::uint32_t> index_of(const std::vector<std::string>& names,
                                       std::string_view name) {
   const auto it = std::find(names.begin(), names.end(), name);
@@ -291,62 +541,29 @@ std::optional<std::uint32_t> index_of(const std::vector<std::string>& names,
   return static_cast<std::uint32_t>(it - names.begin());
 }
 
-// The kept rows of one resolver in epochs [from, to], all vantages (the
-// scope classifier needs the unaffected ones too), with names spelled out.
-std::vector<obs::QueryEvidence> resolver_evidence(const MonitorResult& result,
-                                                  std::uint32_t resolver, int from, int to) {
-  const core::MeasurementSpec& base = result.spec.base;
-  std::vector<obs::QueryEvidence> rows;
-  for (const EvidenceRow& r : result.evidence) {
-    if (r.resolver != resolver || r.epoch < from || r.epoch > to) continue;
-    obs::QueryEvidence& row = rows.emplace_back();
-    row.vantage = base.vantage_ids[r.vantage];
-    row.domain = base.domains[r.domain];
-    row.epoch = r.epoch;
-    row.round = r.round;
-    row.ok = r.ok;
-    row.reused = r.reused;
-    row.response_ms = r.response_ms;
-    row.tcp_ms = r.tcp_ms;
-    row.tls_ms = r.tls_ms;
-    row.quic_ms = r.quic_ms;
-    row.wait_ms = r.wait_ms;
-    row.exchange_ms = r.exchange_ms;
-    row.failure_stage = r.failure_stage;
-    row.error_class = r.error_class;
-  }
-  return rows;
-}
-
-// Diagnose one event from evidence covering at least [baseline start,
-// event.end_epoch] for the event's resolver.
-Diagnosis diagnose_event(const MonitorEvent& event,
-                         const std::vector<obs::QueryEvidence>& evidence,
+// Diagnose one event of the (resolver, vantage) pair it names.
+Diagnosis diagnose_event(const MonitorResult& result, const MonitorEvent& event,
+                         std::uint32_t resolver, std::uint32_t vantage,
                          const DiagnoseOptions& opts) {
   Diagnosis d;
   d.event = event;
-  d.baseline_from = std::max(0, event.start_epoch - std::max(opts.baseline_epochs, 1));
+  d.baseline_from = std::max(0, event.start_epoch - opts.baseline_epochs);
   d.baseline_to = event.start_epoch - 1;  // < baseline_from when no pre-event epochs exist
 
-  // The event's own (vantage, resolver) pair carries the stage/phase story;
-  // the full evidence set (all vantages) feeds the scope classifier.
-  std::vector<obs::QueryEvidence> pair_rows;
-  for (const obs::QueryEvidence& row : evidence) {
-    if (row.vantage == event.vantage) pair_rows.push_back(row);
-  }
-
-  d.stages = obs::count_stages(pair_rows, event.start_epoch, event.end_epoch);
+  // The event's own pair carries the stage/phase story; the scope classifier
+  // reads every vantage's rows for the resolver.
+  const RowFilter window{resolver, vantage, event.start_epoch, event.end_epoch};
+  d.stages = count_stages(result.evidence, window);
   d.dominant_stage = std::string(d.stages.dominant());
-  d.baseline = obs::profile_phases(pair_rows, d.baseline_from, d.baseline_to);
-  if (d.baseline.queries == 0) d.baseline = obs::PhaseProfile{};  // canonical "no baseline"
-  d.window = obs::profile_phases(pair_rows, event.start_epoch, event.end_epoch);
-  d.delta = obs::phase_delta(d.baseline, d.window);
-  d.scope = classify_scope(evidence, d.baseline_from, d.baseline_to, event.start_epoch,
+  d.baseline =
+      profile_phases(result.evidence, {resolver, vantage, d.baseline_from, d.baseline_to});
+  d.window = profile_phases(result.evidence, window);
+  d.delta = phase_delta(d.baseline, d.window);
+  d.scope = classify_scope(result, resolver, d.baseline_from, d.baseline_to, event.start_epoch,
                            event.end_epoch);
   d.verdicts = rank_causes(d);
-  d.exemplars =
-      obs::pick_exemplars(pair_rows, event.start_epoch, event.end_epoch, opts.max_exemplars);
-  for (obs::Exemplar& e : d.exemplars) {
+  d.exemplars = pick_exemplars(result.spec.base, result.evidence, window, opts.max_exemplars);
+  for (Exemplar& e : d.exemplars) {
     e.flight_ref = "epoch" + std::to_string(e.epoch) + "/" + e.vantage + "/" + event.resolver +
                    "/r" + std::to_string(e.round) + "/" + e.domain;
   }
@@ -364,22 +581,20 @@ Result<DiagnosisReport> diagnose_events(const MonitorResult& result, int threads
   }
   if (auto v = result.check_evidence(); !v) return Err{"diagnose: " + v.error()};
 
+  const core::MeasurementSpec& base = result.spec.base;
   DiagnosisReport report;
   report.diagnoses.reserve(result.events.size());
   for (const MonitorEvent& ev : result.events) {
-    const auto resolver = index_of(result.spec.base.resolvers, ev.resolver);
-    const int from = std::max(0, ev.start_epoch - opts.baseline_epochs);
-    std::vector<obs::QueryEvidence> rows;
-    if (resolver) rows = resolver_evidence(result, *resolver, from, ev.end_epoch);
-    const bool covered = std::any_of(rows.begin(), rows.end(), [&](const obs::QueryEvidence& r) {
-      return r.vantage == ev.vantage && r.epoch >= ev.start_epoch;
-    });
-    if (!covered) {
+    const auto resolver = index_of(base.resolvers, ev.resolver);
+    const auto vantage = index_of(base.vantage_ids, ev.vantage);
+    Diagnosis d;
+    if (resolver && vantage) d = diagnose_event(result, ev, *resolver, *vantage, opts);
+    if (d.window.queries == 0) {
       return Err{"diagnose: no evidence for the " + ev.type + " event " + ev.vantage + "/" +
                  ev.resolver + " epochs " + std::to_string(ev.start_epoch) + ".." +
                  std::to_string(ev.end_epoch)};
     }
-    report.diagnoses.push_back(diagnose_event(ev, rows, opts));
+    report.diagnoses.push_back(std::move(d));
   }
   return report;
 }
@@ -405,7 +620,7 @@ std::string render_diagnosis(const Diagnosis& d) {
     for (const std::string& r : d.scope.affected_regions) os << ' ' << r;
   }
   os << ")\n";
-  const auto profile_line = [&os](const char* label, const obs::PhaseProfile& p, int from,
+  const auto profile_line = [&os](const char* label, const PhaseProfile& p, int from,
                                   int to) {
     os << "  " << label << " epochs " << from << ".." << to << ": avail "
        << fmt("%.1f", p.availability * 100.0) << "% of " << p.queries << ", median "
@@ -425,7 +640,7 @@ std::string render_diagnosis(const Diagnosis& d) {
   os << "  ranked causes:";
   for (const CauseVerdict& v : d.verdicts) os << ' ' << v.cause << '=' << fmt("%.2f", v.score);
   os << '\n';
-  for (const obs::Exemplar& e : d.exemplars) {
+  for (const Exemplar& e : d.exemplars) {
     os << "  exemplar: " << (e.ok ? "SLOW" : "FAIL") << ' ' << e.flight_ref << ' '
        << fmt("%.1f", e.response_ms) << " ms";
     if (!e.ok) {

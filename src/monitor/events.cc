@@ -115,15 +115,11 @@ std::vector<MonitorEvent> detect_events(const std::vector<SloSample>& samples,
   return out;
 }
 
-void events_to_json(const std::vector<MonitorEvent>& events, util::JsonWriter& w) {
+std::string events_json(const std::vector<MonitorEvent>& events) {
+  util::JsonWriter w(2);
   w.begin_array();
   for (const MonitorEvent& e : events) e.to_json(w);
   w.end_array();
-}
-
-std::string events_json(const std::vector<MonitorEvent>& events) {
-  util::JsonWriter w(2);
-  events_to_json(events, w);
   return std::move(w).take();
 }
 

@@ -38,9 +38,7 @@ struct MonitorEvent {
 [[nodiscard]] std::vector<MonitorEvent> detect_events(const std::vector<SloSample>& samples,
                                                       const SloConfig& config);
 
-// Serialize a list of events as a JSON array.
-void events_to_json(const std::vector<MonitorEvent>& events, util::JsonWriter& w);
-// The array at indent 2, without a trailing newline: the `ednsm_monitor
+// `events` as a JSON array at indent 2, without a trailing newline: the `ednsm_monitor
 // events` payload and the events golden's format.
 [[nodiscard]] std::string events_json(const std::vector<MonitorEvent>& events);
 

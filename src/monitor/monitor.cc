@@ -1,12 +1,10 @@
 #include "monitor/monitor.h"
 
+#include <cstdint>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string_view>
 #include <tuple>
-
-#include "util/bytes.h"
 
 namespace ednsm::monitor {
 
@@ -22,6 +20,18 @@ std::map<std::string_view, std::uint32_t> index_names(const std::vector<std::str
     out.emplace(names[i], static_cast<std::uint32_t>(i));
   }
   return out;
+}
+
+// Queries one epoch's campaign issues: resolvers x vantages x domains x
+// rounds, saturating at SIZE_MAX (which no row count can match).
+std::size_t planned_rows(const core::MeasurementSpec& base) {
+  std::size_t rows = 1;
+  for (const std::size_t factor : {base.resolvers.size(), base.vantage_ids.size(),
+                                   base.domains.size(), static_cast<std::size_t>(base.rounds)}) {
+    if (factor != 0 && rows > SIZE_MAX / factor) return SIZE_MAX;
+    rows *= factor;
+  }
+  return rows;
 }
 
 Result<void> check_row(const EvidenceRow& row, const MonitorSpec& spec) {
@@ -81,7 +91,8 @@ Result<void> MonitorSpec::validate() const {
 
 void MonitorSpec::to_json(util::JsonWriter& w) const {
   w.begin_object();
-  w.key("base").value(base.to_json());
+  w.key("base");
+  base.to_json(w);
   w.key("epochs").value(epochs);
   w.key("outages").begin_array();
   for (const OutageScript& s : outages) s.to_json(w);
@@ -101,34 +112,6 @@ Result<MonitorSpec> MonitorSpec::from_json(const util::Json& j) {
   if (!f) return Err{f.error()};
   if (auto v = spec.validate(); !v) return Err{v.error()};
   return spec;
-}
-
-void EpochSummary::to_json(util::JsonWriter& w) const {
-  w.begin_object();
-  w.key("availability").value(availability);
-  w.key("epoch").value(epoch);
-  w.key("failures").value(failures);
-  w.key("queries").value(queries);
-  w.key("seed").value(util::u64_to_hex(seed));
-  w.end_object();
-}
-
-Result<EpochSummary> EpochSummary::from_json(const util::Json& j) {
-  EpochSummary s;
-  std::optional<std::string> seed;
-  util::JsonFields f(j, "epoch summary");
-  f.required("epoch", s.epoch)
-      .optional("seed", seed)
-      .optional("queries", s.queries)
-      .optional("failures", s.failures)
-      .optional("availability", s.availability);
-  if (!f) return Err{f.error()};
-  if (seed.has_value()) {
-    auto parsed = util::u64_from_hex(*seed);
-    if (!parsed) return Err{"epoch summary: seed: " + parsed.error()};
-    s.seed = parsed.value();
-  }
-  return s;
 }
 
 void EvidenceRow::to_json(util::JsonWriter& w) const {
@@ -183,22 +166,9 @@ Result<void> MonitorResult::check_evidence() const {
 
 void MonitorResult::to_json(util::JsonWriter& w) const {
   w.begin_object();
-  w.key("epochs").begin_array();
-  for (const EpochSummary& e : epochs) e.to_json(w);
-  w.end_array();
-  w.key("events");
-  events_to_json(events, w);
   w.key("evidence").begin_array();
   for (const EvidenceRow& row : evidence) row.to_json(w);
   w.end_array();
-  w.key("series").begin_object();
-  w.key("bucket_width").value(series.bucket_width());
-  w.key("points").begin_array();
-  for (const obs::SeriesPoint& p : series.snapshot()) p.to_json(w);
-  w.end_array();
-  w.end_object();
-  w.key("slos");
-  slos_to_json(slos, w);
   w.key("spec");
   spec.to_json(w);
   w.end_object();
@@ -206,22 +176,10 @@ void MonitorResult::to_json(util::JsonWriter& w) const {
 
 Result<MonitorResult> MonitorResult::from_json(const util::Json& j) {
   MonitorResult out;
-  std::optional<std::int64_t> bucket_width;
-  std::vector<obs::SeriesPoint> points;
   util::JsonFields f(j, "monitor result");
-  f.required("spec", out.spec)
-      .optional("epochs", out.epochs)
-      .optional("slos", out.slos)
-      .optional("events", out.events)
-      .optional("evidence", out.evidence);
-  util::JsonFields series = f.object("series");
-  series.optional("bucket_width", bucket_width).optional("points", points);
+  f.required("spec", out.spec).required("evidence", out.evidence);
   if (!f) return Err{f.error()};
-  if (auto v = out.check_evidence(); !v) return Err{"monitor result: " + v.error()};
-  if (bucket_width.has_value()) out.series = obs::TimeSeries(*bucket_width);
-  for (const obs::SeriesPoint& p : points) {
-    if (auto ins = out.series.insert(p); !ins) return Err{ins.error()};
-  }
+  if (auto v = fold_evidence(out); !v) return Err{"monitor result: " + v.error()};
   return out;
 }
 
@@ -230,6 +188,58 @@ void MonitorResult::write_json(std::ostream& os, int indent) const {
   to_json(w);
   w.flush();
   os << '\n';
+}
+
+Result<void> fold_evidence(MonitorResult& result) {
+  const MonitorSpec& spec = result.spec;
+  if (auto v = spec.validate(); !v) return Err{v.error()};
+  const core::MeasurementSpec& base = spec.base;
+  const std::vector<EvidenceRow>& rows = result.evidence;
+  const std::size_t per_epoch = planned_rows(base);
+  const auto epochs = static_cast<std::size_t>(spec.epochs);
+  if (rows.size() % per_epoch != 0 || rows.size() / per_epoch != epochs) {
+    return Err{"evidence holds " + std::to_string(rows.size()) + " rows; the spec plans " +
+               std::to_string(per_epoch) + " per epoch over " + std::to_string(epochs) +
+               " epochs"};
+  }
+
+  // The seeds run_monitor gave each epoch's campaign.
+  const std::vector<std::uint64_t> seeds = core::shard_seeds(base.seed, epochs);
+  result.epochs.assign(epochs, EpochSummary{});
+  for (std::size_t e = 0; e < epochs; ++e) {
+    result.epochs[e].epoch = static_cast<int>(e);
+    result.epochs[e].seed = seeds[e];
+  }
+  result.series = obs::TimeSeries();
+  const std::string_view proto = client::to_string(base.protocol);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const EvidenceRow& row = rows[i];
+    if (auto v = check_row(row, spec); !v) {
+      return Err{"evidence[" + std::to_string(i) + "]: " + v.error()};
+    }
+    if (static_cast<std::size_t>(row.epoch) != i / per_epoch) {
+      return Err{"evidence[" + std::to_string(i) + "]: epoch " + std::to_string(row.epoch) +
+                 " is out of order: epochs ascend, " + std::to_string(per_epoch) + " rows each"};
+    }
+    const std::string& vantage = base.vantage_ids[row.vantage];
+    const std::string& resolver = base.resolvers[row.resolver];
+    EpochSummary& summary = result.epochs[static_cast<std::size_t>(row.epoch)];
+    result.series.add_counter(kMetricQueries, vantage, resolver, proto, row.epoch);
+    ++summary.queries;
+    if (row.ok) {
+      result.series.observe(kMetricResponseMs, vantage, resolver, proto, row.epoch,
+                            row.response_ms);
+    } else {
+      result.series.add_counter(kMetricFailures, vantage, resolver, proto, row.epoch);
+      ++summary.failures;
+    }
+  }
+  for (EpochSummary& summary : result.epochs) {
+    summary.availability =
+        1.0 - static_cast<double>(summary.failures) / static_cast<double>(summary.queries);
+  }
+  evaluate_result(result);
+  return {};
 }
 
 void evaluate_result(MonitorResult& result) {
@@ -266,28 +276,13 @@ Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads) {
   const auto resolvers = index_names(spec.base.resolvers);
   const auto vantages = index_names(spec.base.vantage_ids);
   const auto domains = index_names(spec.base.domains);
-  out.evidence.reserve(spec.base.resolvers.size() * spec.base.vantage_ids.size() *
-                       spec.base.domains.size() * static_cast<std::size_t>(spec.base.rounds) *
-                       static_cast<std::size_t>(spec.epochs));
+  out.evidence.reserve(planned_rows(spec.base) * static_cast<std::size_t>(spec.epochs));
 
   for (int e = 0; e < spec.epochs; ++e) {
     const core::MeasurementSpec epoch_spec =
         epoch_campaign_spec(spec, seeds[static_cast<std::size_t>(e)], e);
     const core::CampaignResult result = core::run_parallel_campaign(epoch_spec, threads);
-
-    EpochSummary summary;
-    summary.epoch = e;
-    summary.seed = epoch_spec.seed;
     for (const core::ResultRecord& r : result.records) {
-      const std::string_view proto = client::to_string(r.protocol);
-      out.series.add_counter(kMetricQueries, r.vantage, r.resolver, proto, e);
-      ++summary.queries;
-      if (r.ok) {
-        out.series.observe(kMetricResponseMs, r.vantage, r.resolver, proto, e, r.response_ms);
-      } else {
-        out.series.add_counter(kMetricFailures, r.vantage, r.resolver, proto, e);
-        ++summary.failures;
-      }
       EvidenceRow& row = out.evidence.emplace_back();
       row.resolver = resolvers.at(r.resolver);
       row.vantage = vantages.at(r.vantage);
@@ -307,14 +302,9 @@ Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads) {
         row.error_class = r.error_class;
       }
     }
-    summary.availability =
-        summary.queries > 0
-            ? 1.0 - static_cast<double>(summary.failures) / static_cast<double>(summary.queries)
-            : 1.0;
-    out.epochs.push_back(summary);
   }
 
-  evaluate_result(out);
+  if (auto v = fold_evidence(out); !v) return Err{"monitor: " + v.error()};
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Longitudinal monitor: run the same campaign spec over many epochs
-// (simulated days), fold each epoch into an obs::TimeSeries keyed by
-// (vantage, resolver, protocol) with the epoch index as the time bucket,
-// evaluate rolling SLOs, and detect outage/degradation/flap events.
+// (simulated days) and keep one compact evidence row per query. Everything
+// else is folded from those rows by fold_evidence: per-epoch summaries, an
+// obs::TimeSeries keyed by (vantage, resolver, protocol) with the epoch index
+// as the time bucket, rolling SLOs, and outage/degradation/flap events.
 //
 // Epoch e runs with seed splitmix64^e(base seed) (core::shard_seeds), so the
 // whole run is a pure function of the spec: byte-identical series, SLO,
@@ -9,9 +10,9 @@
 // resolver fully offline for epochs [from_epoch, to_epoch) via the campaign
 // fault-window hook, which is what the detection tests assert against.
 //
-// While it folds an epoch's records into the series, the monitor also keeps
-// one compact evidence row per query, so monitor/diagnose explains events
-// from the result alone, in memory or loaded from the monitor file.
+// The monitor file holds only the rows and the spec; loading it runs the same
+// fold, so the series, SLOs and events of a loaded file cannot contradict its
+// rows, and monitor/diagnose explains events from the same rows.
 #pragma once
 
 #include <iosfwd>
@@ -46,18 +47,16 @@ struct MonitorSpec {
   [[nodiscard]] static Result<MonitorSpec> from_json(const util::Json& j);
 };
 
-// Aggregate tallies for one epoch's campaign.
+// Aggregate tallies for one epoch's campaign, folded from its evidence rows
+// (never persisted).
 struct EpochSummary {
   int epoch = 0;
-  // Derived campaign seed for the epoch; a util::u64_to_hex string in JSON,
-  // because a JSON number holds only 53 bits.
-  std::uint64_t seed = 0;
+  std::uint64_t seed = 0;  // derived campaign seed for the epoch
   std::uint64_t queries = 0;
   std::uint64_t failures = 0;
   double availability = 1.0;
 
-  void to_json(util::JsonWriter& w) const;
-  [[nodiscard]] static Result<EpochSummary> from_json(const util::Json& j);
+  [[nodiscard]] bool operator==(const EpochSummary&) const = default;
 };
 
 // One query's evidence, kept for diagnosis. Names are indices into the
@@ -92,20 +91,34 @@ struct EvidenceRow {
 
 struct MonitorResult {
   MonitorSpec spec;
-  std::vector<EpochSummary> epochs;
-  obs::TimeSeries series;
-  std::vector<SloSample> slos;
-  std::vector<MonitorEvent> events;
   // Every query of every epoch, epochs ascending, each epoch in its
-  // campaign's record order.
+  // campaign's record order: the one source the fields below are folded from.
   std::vector<EvidenceRow> evidence;
+  // ednsm-lint: allow(codec-parity) — derived: from_json refolds these from
+  // the evidence rows, so serializing them would duplicate state.
+  std::vector<EpochSummary> epochs;
+  // ednsm-lint: allow(codec-parity) — derived, as above.
+  obs::TimeSeries series;
+  // ednsm-lint: allow(codec-parity) — derived, as above.
+  std::vector<SloSample> slos;
+  // ednsm-lint: allow(codec-parity) — derived, as above.
+  std::vector<MonitorEvent> events;
 
   // Every evidence row's indices, epoch and round lie inside the spec.
   [[nodiscard]] Result<void> check_evidence() const;
+  // Writes {"evidence": [...], "spec": {...}}; the folds are not persisted.
   void to_json(util::JsonWriter& w) const;
+  // Requires both keys and rebuilds the folds with fold_evidence, which
+  // refuses rows that do not match the spec's plan.
   [[nodiscard]] static Result<MonitorResult> from_json(const util::Json& j);
   void write_json(std::ostream& os, int indent = 0) const;
 };
+
+// Rebuild epochs, series, slos and events from result.spec and
+// result.evidence in one pass over the rows, then evaluate_result. The rows
+// must follow the spec's plan: epochs ascending, each epoch holding exactly
+// resolvers x vantages x domains x rounds rows, every index inside the spec.
+[[nodiscard]] Result<void> fold_evidence(MonitorResult& result);
 
 // Campaign spec for epoch `epoch`: the base spec with the epoch's derived
 // seed and any scripted outages active at that epoch lowered to whole-epoch
@@ -118,8 +131,8 @@ struct MonitorResult {
 // unit). Returns an error for an invalid spec.
 [[nodiscard]] Result<MonitorResult> run_monitor(const MonitorSpec& spec, int threads);
 
-// Re-derive SLO samples and events from an already-folded series (used by
-// from_json and by tools that load a persisted series).
+// Re-derive SLO samples and events from the already-folded series (the last
+// step of fold_evidence; benchmarks time it on its own).
 void evaluate_result(MonitorResult& result);
 
 }  // namespace ednsm::monitor

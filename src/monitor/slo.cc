@@ -111,30 +111,12 @@ void SloSample::to_json(util::JsonWriter& w) const {
   w.end_object();
 }
 
-void slos_to_json(const std::vector<SloSample>& slos, util::JsonWriter& w) {
+std::string slos_json(const std::vector<SloSample>& slos) {
+  util::JsonWriter w(2);
   w.begin_array();
   for (const SloSample& s : slos) s.to_json(w);
   w.end_array();
-}
-
-Result<SloSample> SloSample::from_json(const util::Json& j) {
-  SloSample s;
-  util::JsonFields f(j, "slo sample");
-  f.required("vantage", s.vantage)
-      .required("resolver", s.resolver)
-      .required("protocol", s.protocol)
-      .required("epoch", s.epoch)
-      .required("state", s.state)
-      .optional("queries", s.queries)
-      .optional("failures", s.failures)
-      .optional("availability", s.availability)
-      .optional("window_queries", s.window_queries)
-      .optional("window_failures", s.window_failures)
-      .optional("window_availability", s.window_availability)
-      .optional("p50_ms", s.p50_ms)
-      .optional("p95_ms", s.p95_ms)
-      .optional("p99_ms", s.p99_ms);
-  return f.result(std::move(s));
+  return std::move(w).take();
 }
 
 std::vector<SloSample> evaluate_slos(const obs::TimeSeries& series, const SloConfig& config,

@@ -79,12 +79,11 @@ struct SloSample {
   std::string state;                  // "healthy" | "degraded" | "outage"
 
   void to_json(util::JsonWriter& w) const;
-  [[nodiscard]] static Result<SloSample> from_json(const util::Json& j);
 };
 
-// Serialize samples as a JSON array (the monitor file's "slos" and the
-// `--slo-out` payload).
-void slos_to_json(const std::vector<SloSample>& slos, util::JsonWriter& w);
+// `slos` as a JSON array at indent 2, without a trailing newline: the
+// `ednsm_monitor run --slo-out` and `slo --json` payload.
+[[nodiscard]] std::string slos_json(const std::vector<SloSample>& slos);
 
 // Evaluate every (vantage, resolver) pair for epochs [0, epochs), in
 // (vantage, resolver, epoch) order. `series` buckets must be epoch indices.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/spec.h"
 #include "encode_util.h"
 
@@ -61,7 +63,7 @@ TEST(Spec, JsonRoundTrip) {
   spec.query_options.use_http2 = false;
   spec.query_options.timeout = std::chrono::milliseconds(2500);
 
-  auto round = MeasurementSpec::from_json(spec.to_json());
+  auto round = MeasurementSpec::from_json(test::as_dom(spec));
   ASSERT_TRUE(round.has_value()) << round.error();
   EXPECT_EQ(round.value().resolvers, spec.resolvers);
   EXPECT_EQ(round.value().domains, spec.domains);
@@ -76,6 +78,26 @@ TEST(Spec, JsonRoundTrip) {
   EXPECT_EQ(round.value().seed, spec.seed);
 }
 
+// A JSON number holds 53 bits; the seed is written as 16 hex digits instead,
+// and a numeric seed is refused with the expected format named.
+TEST(Spec, SeedRoundTripsAllSixtyFourBitsAsHex) {
+  MeasurementSpec spec = small_spec();
+  spec.seed = std::numeric_limits<std::uint64_t>::max();
+  const std::string bytes = test::encode(spec);
+  EXPECT_NE(bytes.find("\"seed\":\"ffffffffffffffff\""), std::string::npos) << bytes;
+  auto round = MeasurementSpec::from_json(test::as_dom(spec));
+  ASSERT_TRUE(round.has_value()) << round.error();
+  EXPECT_EQ(round.value().seed, spec.seed);
+
+  util::Json j = test::as_dom(small_spec());
+  j.as_object()["seed"] = util::Json(7.0);
+  const auto numeric = MeasurementSpec::from_json(j);
+  ASSERT_FALSE(numeric.has_value());
+  EXPECT_NE(numeric.error().find("seed must be a string of 16 lowercase hex digits"),
+            std::string::npos)
+      << numeric.error();
+}
+
 TEST(Spec, FromJsonRejectsBadInput) {
   EXPECT_FALSE(MeasurementSpec::from_json(util::Json(nullptr)).has_value());
   util::JsonObject o;
@@ -84,12 +106,12 @@ TEST(Spec, FromJsonRejectsBadInput) {
 
   // Unknown protocol.
   MeasurementSpec spec = small_spec();
-  util::Json j = spec.to_json();
+  util::Json j = test::as_dom(spec);
   j.as_object()["protocol"] = util::Json("DoX");
   EXPECT_FALSE(MeasurementSpec::from_json(j).has_value());
 
   // Unknown reuse policy.
-  j = spec.to_json();
+  j = test::as_dom(spec);
   j.as_object()["reuse"] = util::Json("sometimes");
   EXPECT_FALSE(MeasurementSpec::from_json(j).has_value());
 }
@@ -208,21 +230,21 @@ TEST(PingRecord, FromJsonRejectsHostileNumbers) {
 TEST(Spec, FromJsonRejectsHostileNumbers) {
   MeasurementSpec spec = small_spec();
   spec.fault_windows.push_back({"dns.google", 0, 2});
-  ASSERT_TRUE(MeasurementSpec::from_json(spec.to_json()).has_value());
+  ASSERT_TRUE(MeasurementSpec::from_json(test::as_dom(spec)).has_value());
   const std::pair<const char*, double> cases[] = {
       {"rounds", 1e300},           {"rounds", 2.5},         {"round_interval_s", 1e300},
       {"round_interval_s", -1e19}, {"pad_block", -1.0},     {"pad_block", 1e30},
       {"seed", -1.0},              {"seed", 1.8446744073709552e19},
       {"timeout_ms", 1e300},       {"ping_timeout_ms", -1e300}};
   for (const auto& [field, bad] : cases) {
-    util::Json j = spec.to_json();
+    util::Json j = test::as_dom(spec);
     j.as_object()[field] = util::Json(bad);
     const auto parsed = MeasurementSpec::from_json(j);
     ASSERT_FALSE(parsed.has_value()) << field << " = " << bad;
     EXPECT_NE(parsed.error().find(field), std::string::npos) << parsed.error();
   }
   for (const char* field : {"from_round", "to_round"}) {
-    util::Json j = spec.to_json();
+    util::Json j = test::as_dom(spec);
     j.as_object()["fault_windows"].as_array()[0].as_object()[field] = util::Json(1e10);
     EXPECT_FALSE(MeasurementSpec::from_json(j).has_value()) << field;
   }
@@ -231,7 +253,7 @@ TEST(Spec, FromJsonRejectsHostileNumbers) {
 // An in-range integer can still overflow the microsecond clock once scaled.
 TEST(Spec, FromJsonRejectsOverflowingRoundInterval) {
   for (const double seconds : {1e13, -1e13, -9223372036854775808.0}) {
-    util::Json j = small_spec().to_json();
+    util::Json j = test::as_dom(small_spec());
     j.as_object()["round_interval_s"] = util::Json(seconds);
     const auto parsed = MeasurementSpec::from_json(j);
     ASSERT_FALSE(parsed.has_value()) << seconds;

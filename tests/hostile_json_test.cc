@@ -202,10 +202,10 @@ std::vector<Decoder> decoders() {
   // -- core ---------------------------------------------------------------------
   core::MeasurementSpec spec = small_spec();
   spec.fault_windows.push_back({"dns.google", 0, 1});
-  out.push_back({"FaultWindow", spec.fault_windows[0].to_json(),
+  out.push_back({"FaultWindow", test::as_dom(spec.fault_windows[0]),
                  via_from_json<core::FaultWindow>(),
                  {{"resolver", K::String}, {"from_round", K::Integer}, {"to_round", K::Integer}}});
-  out.push_back({"MeasurementSpec", spec.to_json(), via_from_json<core::MeasurementSpec>(),
+  out.push_back({"MeasurementSpec", test::as_dom(spec), via_from_json<core::MeasurementSpec>(),
                  {{"resolvers", K::Array},
                   {"resolvers/0", K::String},
                   {"domains", K::Array},
@@ -220,7 +220,7 @@ std::vector<Decoder> decoders() {
                   {"use_http2", K::Bool},
                   {"early_data", K::Bool},
                   {"pad_block", K::Integer},
-                  {"seed", K::Integer},
+                  {"seed", K::String},
                   {"fault_windows", K::Array},
                   {"fault_windows/0/from_round", K::Integer}}});
 
@@ -264,7 +264,7 @@ std::vector<Decoder> decoders() {
                  {{"magic", K::String},
                   {"version", K::Integer},
                   {"spec_fingerprint", K::String},
-                  {"spec/seed", K::Integer},
+                  {"spec/seed", K::String},
                   {"slice/k", K::Integer},
                   {"slice/n", K::Integer},
                   {"total_shards", K::Integer},
@@ -291,44 +291,6 @@ std::vector<Decoder> decoders() {
                   {"outcomes/0/trace/events/0/4", K::Integer}}});
 
   // -- obs ----------------------------------------------------------------------
-  out.push_back({"StageBreakdown", test::as_dom(obs::StageBreakdown{1, 2, 3, 4, 5}),
-                 via_from_json<obs::StageBreakdown>(),
-                 {{"connect", K::Integer},
-                  {"handshake", K::Integer},
-                  {"query", K::Integer},
-                  {"timeout", K::Integer},
-                  {"other", K::Integer}}});
-  out.push_back({"PhaseProfile", test::as_dom(obs::PhaseProfile{}),
-                 via_from_json<obs::PhaseProfile>(),
-                 {{"queries", K::Integer},
-                  {"failures", K::Integer},
-                  {"availability", K::Number},
-                  {"reused_fraction", K::Number},
-                  {"response_ms", K::Number},
-                  {"tcp_ms", K::Number},
-                  {"tls_ms", K::Number},
-                  {"quic_ms", K::Number},
-                  {"wait_ms", K::Number},
-                  {"exchange_ms", K::Number}}});
-  out.push_back({"PhaseDelta", test::as_dom(obs::PhaseDelta{}), via_from_json<obs::PhaseDelta>(),
-                 {{"availability", K::Number},
-                  {"reused_fraction", K::Number},
-                  {"response_ms", K::Number},
-                  {"tcp_ms", K::Number},
-                  {"tls_ms", K::Number},
-                  {"quic_ms", K::Number},
-                  {"wait_ms", K::Number},
-                  {"exchange_ms", K::Number}}});
-  out.push_back({"Exemplar", test::as_dom(obs::Exemplar{}), via_from_json<obs::Exemplar>(),
-                 {{"vantage", K::String},
-                  {"domain", K::String},
-                  {"epoch", K::Integer},
-                  {"round", K::Integer},
-                  {"ok", K::Bool},
-                  {"response_ms", K::Number},
-                  {"failure_stage", K::String},
-                  {"error_class", K::String},
-                  {"flight_ref", K::String}}});
   out.push_back({"Metrics", metrics.to_json(), via_from_json<obs::Metrics>(),
                  {{"counters", K::Array},
                   {"counters/0/0", K::String},
@@ -476,22 +438,6 @@ std::vector<Decoder> decoders() {
                   {"hyperscale/max_p50_ms", K::Number},
                   {"managed/min_availability", K::Number},
                   {"hobbyist/max_p99_ms", K::Number}}});
-  out.push_back({"SloSample", test::as_dom(run.value().slos.at(0)),
-                 via_from_json<monitor::SloSample>(),
-                 {{"vantage", K::String},
-                  {"resolver", K::String},
-                  {"protocol", K::String},
-                  {"epoch", K::Integer},
-                  {"state", K::String},
-                  {"queries", K::Integer},
-                  {"failures", K::Integer},
-                  {"availability", K::Number},
-                  {"window_queries", K::Integer},
-                  {"window_failures", K::Integer},
-                  {"window_availability", K::Number},
-                  {"p50_ms", K::Number},
-                  {"p95_ms", K::Number},
-                  {"p99_ms", K::Number}}});
   const monitor::Diagnosis& diagnosis = report.value().diagnoses.at(0);
   out.push_back({"CauseVerdict", test::as_dom(diagnosis.verdicts.at(0)),
                  via_from_json<monitor::CauseVerdict>(),
@@ -511,6 +457,44 @@ std::vector<Decoder> decoders() {
                   {"affected_regions", K::Array},
                   {"affected_regions/0", K::String},
                   {"vantages_observed", K::Integer}}});
+  out.push_back({"StageBreakdown", test::as_dom(monitor::StageBreakdown{1, 2, 3, 4, 5}),
+                 via_from_json<monitor::StageBreakdown>(),
+                 {{"connect", K::Integer},
+                  {"handshake", K::Integer},
+                  {"query", K::Integer},
+                  {"timeout", K::Integer},
+                  {"other", K::Integer}}});
+  out.push_back({"PhaseProfile", test::as_dom(monitor::PhaseProfile{}),
+                 via_from_json<monitor::PhaseProfile>(),
+                 {{"queries", K::Integer},
+                  {"failures", K::Integer},
+                  {"availability", K::Number},
+                  {"reused_fraction", K::Number},
+                  {"response_ms", K::Number},
+                  {"tcp_ms", K::Number},
+                  {"tls_ms", K::Number},
+                  {"quic_ms", K::Number},
+                  {"wait_ms", K::Number},
+                  {"exchange_ms", K::Number}}});
+  out.push_back({"PhaseDelta", test::as_dom(monitor::PhaseDelta{}), via_from_json<monitor::PhaseDelta>(),
+                 {{"availability", K::Number},
+                  {"reused_fraction", K::Number},
+                  {"response_ms", K::Number},
+                  {"tcp_ms", K::Number},
+                  {"tls_ms", K::Number},
+                  {"quic_ms", K::Number},
+                  {"wait_ms", K::Number},
+                  {"exchange_ms", K::Number}}});
+  out.push_back({"Exemplar", test::as_dom(monitor::Exemplar{}), via_from_json<monitor::Exemplar>(),
+                 {{"vantage", K::String},
+                  {"domain", K::String},
+                  {"epoch", K::Integer},
+                  {"round", K::Integer},
+                  {"ok", K::Bool},
+                  {"response_ms", K::Number},
+                  {"failure_stage", K::String},
+                  {"error_class", K::String},
+                  {"flight_ref", K::String}}});
   out.push_back({"Diagnosis", test::as_dom(diagnosis), via_from_json<monitor::Diagnosis>(),
                  {{"version", K::Integer},
                   {"event/start_epoch", K::Integer},
@@ -540,24 +524,8 @@ std::vector<Decoder> decoders() {
                   {"outages", K::Array},
                   {"outages/0/to_epoch", K::Integer},
                   {"slo/window_epochs", K::Integer}}});
-  out.push_back({"EpochSummary", test::as_dom(run.value().epochs.at(0)),
-                 via_from_json<monitor::EpochSummary>(),
-                 {{"epoch", K::Integer},
-                  {"seed", K::String},
-                  {"queries", K::Integer},
-                  {"failures", K::Integer},
-                  {"availability", K::Number}}});
   std::vector<Field> result_fields = {{"spec/epochs", K::Integer},
-                                      {"epochs", K::Array},
-                                      {"epochs/0/queries", K::Integer},
-                                      {"epochs/0/seed", K::String},
-                                      {"series/bucket_width", K::Integer},
-                                      {"series/points", K::Array},
-                                      {"series/points/0/bucket", K::Integer},
-                                      {"slos", K::Array},
-                                      {"slos/0/epoch", K::Integer},
-                                      {"events", K::Array},
-                                      {"events/0/start_epoch", K::Integer},
+                                      {"spec/base/seed", K::String},
                                       {"evidence", K::Array},
                                       {"evidence/0", K::Array}};
   // Evidence rows are positional: [resolver, vantage, domain, epoch, round,
@@ -600,9 +568,9 @@ TEST(HostileJson, EveryDecoderRefusesBadFieldsByName) {
   EXPECT_GT(rows, 500u);  // the table did not silently empty
 }
 
-// Mutations the type table cannot express: values of the right JSON type
-// that the evidence codec must still refuse, each with the words its error
-// must contain.
+// Mutations the type table cannot express: values of the right JSON type,
+// or rows that do not follow the spec's plan, that the monitor codec must
+// still refuse, each with the words its error must contain.
 TEST(HostileJson, EvidenceAndEpochSeedsAreCheckedAgainstTheSpec) {
   const monitor::MonitorSpec mspec = small_monitor_spec();
   const auto run = monitor::run_monitor(mspec, 1);
@@ -630,6 +598,24 @@ TEST(HostileJson, EvidenceAndEpochSeedsAreCheckedAgainstTheSpec) {
       target->as_array().resize(size, util::Json("connect"));
     };
   };
+  // The spec plans 1 resolver x 1 vantage x 3 domains x 1 round: rows
+  // [3e, 3e + 3) belong to epoch e.
+  const auto rows = [](util::Json& doc) -> util::JsonArray& {
+    return doc.as_object()["evidence"].as_array();
+  };
+  const auto drop_row = [rows](std::size_t i) {
+    return [rows, i](util::Json& doc) {
+      util::JsonArray& all = rows(doc);
+      all.erase(all.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+  };
+  const auto repeat_row = [rows](std::size_t i) {
+    return [rows, i](util::Json& doc) {
+      util::JsonArray& all = rows(doc);
+      const util::Json copy = all[i];
+      all.insert(all.begin() + static_cast<std::ptrdiff_t>(i), copy);
+    };
+  };
   const std::vector<Mutation> mutations = {
       {"resolver index past the list", set("evidence/0/0", util::Json(2)), "resolver index 2"},
       {"vantage index past the list", set("evidence/0/1", util::Json(1)), "vantage index 1"},
@@ -644,9 +630,18 @@ TEST(HostileJson, EvidenceAndEpochSeedsAreCheckedAgainstTheSpec) {
       {"ok row with 15 slots", resize("evidence/0", 15), "ok row has 13"},
       {"failed row with 13 slots", resize(failed, 13), "ok row has 13"},
       {"row of 16 slots", resize("evidence/0", 16), "array of 13"},
-      {"seed not hex", set("epochs/0/seed", util::Json("zzzzzzzzzzzzzzzz")), "seed"},
-      {"seed too short", set("epochs/0/seed", util::Json("ff")), "seed"},
-      {"seed in upper case", set("epochs/0/seed", util::Json("FFFFFFFFFFFFFFFF")), "seed"},
+      {"seed not hex", set("spec/base/seed", util::Json("zzzzzzzzzzzzzzzz")), "seed"},
+      {"seed too short", set("spec/base/seed", util::Json("ff")), "seed"},
+      {"seed in upper case", set("spec/base/seed", util::Json("FFFFFFFFFFFFFFFF")), "seed"},
+      {"seed as a number", set("spec/base/seed", util::Json(7.0)), "16 lowercase hex digits"},
+      {"missing evidence", [](util::Json& doc) { doc.as_object().erase("evidence"); },
+       "missing evidence"},
+      {"an epoch short one row", drop_row(4), "3 per epoch over 4 epochs"},
+      {"an epoch with one extra row", repeat_row(4), "3 per epoch over 4 epochs"},
+      {"rows out of epoch order",
+       [rows](util::Json& doc) { std::swap(rows(doc)[2], rows(doc)[3]); }, "out of order"},
+      {"one epoch short, the next one over",
+       [rows](util::Json& doc) { rows(doc)[2] = rows(doc)[3]; }, "out of order"},
   };
   for (const Mutation& m : mutations) {
     util::Json doc = good;

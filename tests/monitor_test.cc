@@ -1,7 +1,8 @@
 // Longitudinal monitor tests: TimeSeries store semantics and codecs (JSONL,
 // binary, SeriesPoint JSON), rolling SLO evaluation, event detection, the
 // scripted-outage fault hook, end-to-end run_monitor determinism across
-// thread counts, Prometheus exposition, and the HTML dashboard.
+// thread counts, the monitor file's refold, Prometheus exposition, the HTML
+// dashboard, and diagnosis with its attribution aggregates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -327,11 +328,11 @@ TEST(FaultWindow, SpecCodecAndValidation) {
   spec.vantage_ids = {"ec2-ohio"};
   spec.rounds = 4;
   // No windows: key omitted entirely, so pre-monitor result files round-trip.
-  EXPECT_TRUE(spec.to_json().at("fault_windows").is_null());
+  EXPECT_TRUE(test::as_dom(spec).at("fault_windows").is_null());
 
   spec.fault_windows.push_back(core::FaultWindow{"dns.google", 1, 3});
   ASSERT_TRUE(spec.validate());
-  auto round = core::MeasurementSpec::from_json(spec.to_json());
+  auto round = core::MeasurementSpec::from_json(test::as_dom(spec));
   ASSERT_TRUE(round) << round.error();
   ASSERT_EQ(round.value().fault_windows.size(), 1u);
   EXPECT_EQ(round.value().fault_windows[0].resolver, "dns.google");
@@ -435,23 +436,61 @@ TEST(Monitor, RunIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.value().series.jsonl(), many.value().series.jsonl());
 }
 
+// Every fold of a decoded file equals the run's: the file keeps only the
+// evidence rows and the spec, and from_json refolds the rest from them.
+void expect_refold_reproduces_run(const monitor::MonitorResult& run) {
+  auto decoded = monitor::MonitorResult::from_json(test::as_dom(run));
+  ASSERT_TRUE(decoded) << decoded.error();
+  const monitor::MonitorResult& re = decoded.value();
+  EXPECT_EQ(re.evidence, run.evidence);
+  EXPECT_EQ(re.epochs, run.epochs);
+  EXPECT_EQ(re.series.to_binary(), run.series.to_binary());
+  EXPECT_EQ(re.series.jsonl(), run.series.jsonl());
+  EXPECT_EQ(monitor::slos_json(re.slos), monitor::slos_json(run.slos));
+  EXPECT_EQ(monitor::events_json(re.events), monitor::events_json(run.events));
+  EXPECT_EQ(test::encode(re), test::encode(run));
+}
+
 TEST(Monitor, ResultJsonRoundTripReproducesEvaluation) {
   monitor::MonitorSpec spec = small_monitor_spec();
-  spec.epochs = 4;
-  spec.outages.push_back(monitor::OutageScript{"dns.google", 1, 2});
+  spec.outages.push_back(monitor::OutageScript{"dns.google", 2, 4});
   auto result = monitor::run_monitor(spec, 2);
   ASSERT_TRUE(result) << result.error();
+  ASSERT_FALSE(result.value().events.empty());
+  expect_refold_reproduces_run(result.value());
 
-  auto round = monitor::MonitorResult::from_json(test::as_dom(result.value()));
-  ASSERT_TRUE(round) << round.error();
-  EXPECT_EQ(test::encode(round.value()), test::encode(result.value()));
+  // The file holds the rows and the spec, nothing folded from them.
+  const util::Json doc = test::as_dom(result.value());
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.as_object().size(), 2u);
+  EXPECT_FALSE(doc.at("evidence").is_null());
+  EXPECT_FALSE(doc.at("spec").is_null());
 
-  // evaluate_result on the decoded series re-derives the same SLOs/events.
-  monitor::MonitorResult re = round.value();
+  // evaluate_result re-derives the same SLOs/events from the folded series.
+  monitor::MonitorResult re = result.value();
   re.slos.clear();
   re.events.clear();
   monitor::evaluate_result(re);
-  EXPECT_EQ(test::encode(re), test::encode(result.value()));
+  EXPECT_EQ(monitor::slos_json(re.slos), monitor::slos_json(result.value().slos));
+  EXPECT_EQ(monitor::events_json(re.events), monitor::events_json(result.value().events));
+}
+
+// The 30-epoch, 7-resolver watchlist with a scripted outage.
+TEST(Monitor, WatchlistRefoldReproducesRun) {
+  monitor::MonitorSpec spec;
+  spec.base.resolvers = {"dns.google",           "security.cloudflare-dns.com",
+                         "dns.quad9.net",        "ordns.he.net",
+                         "freedns.controld.com", "doh.ffmuc.net",
+                         "kronos.plan9-dns.com"};
+  spec.base.vantage_ids = {"ec2-ohio"};
+  spec.base.rounds = 3;
+  spec.base.seed = 20250704;
+  spec.epochs = 30;
+  spec.outages.push_back(monitor::OutageScript{"kronos.plan9-dns.com", 12, 15});
+  auto result = monitor::run_monitor(spec, 2);
+  ASSERT_TRUE(result) << result.error();
+  ASSERT_EQ(result.value().evidence.size(), 7u * 3u * 3u * 30u);
+  expect_refold_reproduces_run(result.value());
 }
 
 TEST(Monitor, PrometheusExposition) {
@@ -687,7 +726,7 @@ TEST(Diagnose, ScriptedOutageAttributedToResolverOutage) {
   // Exemplars cite concrete failed queries inside the window, with flight
   // recorder refs naming the resolver.
   ASSERT_FALSE(outage->exemplars.empty());
-  for (const obs::Exemplar& x : outage->exemplars) {
+  for (const monitor::Exemplar& x : outage->exemplars) {
     EXPECT_FALSE(x.ok);
     EXPECT_GE(x.epoch, 2);
     EXPECT_LE(x.epoch, 3);
@@ -729,6 +768,189 @@ TEST(Diagnose, ReportCodecRoundTripsAndChecksVersion) {
   util::Json j = test::as_dom(report.value());
   j.as_object()["version"] = util::Json(99);
   EXPECT_FALSE(monitor::DiagnosisReport::from_json(j));
+}
+
+// Attribution primitives: the aggregations monitor/diagnose argues from, each
+// scanning the rows in place through a RowFilter. Resolver 0, vantage 0 is
+// the pair under study; rows of other pairs must never be counted.
+
+monitor::EvidenceRow ev_row(std::uint32_t vantage, std::uint32_t domain, int epoch, int round,
+                            bool ok, const char* stage, double response_ms) {
+  monitor::EvidenceRow e;
+  e.vantage = vantage;
+  e.domain = domain;
+  e.epoch = epoch;
+  e.round = round;
+  e.ok = ok;
+  e.response_ms = response_ms;
+  e.failure_stage = stage;
+  return e;
+}
+
+// Names for ev_row's indices. The last three domains are listed against
+// name order, so a sort by index would put z.com first.
+core::MeasurementSpec attribution_names() {
+  core::MeasurementSpec base;
+  base.resolvers = {"r1", "r2"};
+  base.vantage_ids = {"v1", "v2"};
+  base.domains = {"a.com", "b.com", "c.com", "d.com", "e.com",
+                  "slow.com", "fast.com", "z.com", "y.com", "x.com"};
+  return base;
+}
+
+TEST(Attribution, CountStagesInclusiveWindowAndTaxonomy) {
+  std::vector<monitor::EvidenceRow> rows;
+  rows.push_back(ev_row(0, 0, 1, 0, false, "connect", 0.0));    // outside window
+  rows.push_back(ev_row(0, 0, 2, 0, false, "connect", 0.0));
+  rows.push_back(ev_row(0, 1, 2, 1, false, "timeout", 0.0));
+  rows.push_back(ev_row(0, 2, 3, 0, false, "handshake", 0.0));
+  rows.push_back(ev_row(0, 3, 3, 1, false, "martian", 0.0));    // unknown -> other
+  rows.push_back(ev_row(0, 4, 3, 1, true, "", 12.0));           // success not counted
+  rows.push_back(ev_row(0, 0, 4, 0, false, "query", 0.0));      // outside window
+  rows.push_back(ev_row(1, 0, 2, 0, false, "query", 0.0));      // another vantage
+  monitor::EvidenceRow other_resolver = ev_row(0, 0, 2, 0, false, "query", 0.0);
+  other_resolver.resolver = 1;
+  rows.push_back(other_resolver);
+
+  const monitor::StageBreakdown b = monitor::count_stages(rows, {0, 0, 2, 3});
+  EXPECT_EQ(b.connect, 1u);
+  EXPECT_EQ(b.timeout, 1u);
+  EXPECT_EQ(b.handshake, 1u);
+  EXPECT_EQ(b.other, 1u);
+  EXPECT_EQ(b.query, 0u);
+  EXPECT_EQ(b.total(), 4u);
+  // Four-way tie: taxonomy order puts connect first.
+  EXPECT_EQ(b.dominant(), "connect");
+
+  // Empty and inverted windows are default-constructed: no failures, no stage.
+  EXPECT_EQ(monitor::count_stages(rows, {0, 0, 10, 20}).total(), 0u);
+  EXPECT_EQ(monitor::count_stages(rows, {0, 0, 3, 2}).total(), 0u);
+  EXPECT_EQ(monitor::count_stages(rows, {0, 0, 10, 20}).dominant(), "");
+}
+
+TEST(Attribution, ProfilePhasesMediansOverSuccesses) {
+  std::vector<monitor::EvidenceRow> rows;
+  for (int i = 0; i < 3; ++i) {
+    monitor::EvidenceRow e = ev_row(0, 0, 1, i, true, "", 10.0 * (i + 1));
+    e.tcp_ms = 1.0 * (i + 1);
+    e.exchange_ms = 5.0 * (i + 1);
+    e.reused = (i == 0);
+    rows.push_back(e);
+  }
+  rows.push_back(ev_row(0, 1, 1, 3, false, "timeout", 0.0));
+  rows.push_back(ev_row(1, 0, 1, 0, true, "", 1000.0));  // another vantage
+
+  const monitor::PhaseProfile p = monitor::profile_phases(rows, {0, 0, 1, 1});
+  EXPECT_EQ(p.queries, 4u);
+  EXPECT_EQ(p.failures, 1u);
+  EXPECT_DOUBLE_EQ(p.availability, 0.75);
+  EXPECT_DOUBLE_EQ(p.reused_fraction, 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(p.response_ms, 20.0);  // median of {10, 20, 30}
+  EXPECT_DOUBLE_EQ(p.tcp_ms, 2.0);
+  EXPECT_DOUBLE_EQ(p.exchange_ms, 10.0);
+
+  // No queries in the window: the default profile (availability 1.0).
+  const monitor::PhaseProfile empty = monitor::profile_phases(rows, {0, 0, 5, 9});
+  EXPECT_EQ(empty.queries, 0u);
+  EXPECT_DOUBLE_EQ(empty.availability, 1.0);
+}
+
+TEST(Attribution, PhaseDeltaIsWindowMinusBaseline) {
+  monitor::PhaseProfile base;
+  base.availability = 1.0;
+  base.response_ms = 40.0;
+  base.tcp_ms = 5.0;
+  base.reused_fraction = 0.5;
+  monitor::PhaseProfile win;
+  win.availability = 0.25;
+  win.response_ms = 100.0;
+  win.tcp_ms = 20.0;
+  win.reused_fraction = 0.75;
+
+  const monitor::PhaseDelta d = monitor::phase_delta(base, win);
+  EXPECT_DOUBLE_EQ(d.availability, -0.75);
+  EXPECT_DOUBLE_EQ(d.response_ms, 60.0);
+  EXPECT_DOUBLE_EQ(d.tcp_ms, 15.0);
+  EXPECT_DOUBLE_EQ(d.reused_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(d.tls_ms, 0.0);
+}
+
+TEST(Attribution, PickExemplarsFailuresFirstThenSlowest) {
+  const core::MeasurementSpec names = attribution_names();
+  std::vector<monitor::EvidenceRow> rows;
+  rows.push_back(ev_row(0, 5, 2, 0, true, "", 99.0));          // slow.com
+  rows.push_back(ev_row(0, 6, 2, 0, true, "", 5.0));           // fast.com
+  rows.push_back(ev_row(0, 7, 3, 1, false, "connect", 0.0));   // z.com
+  rows.push_back(ev_row(0, 9, 3, 1, false, "connect", 0.0));   // x.com
+  rows.push_back(ev_row(0, 8, 2, 1, false, "timeout", 0.0));   // y.com
+  rows.push_back(ev_row(0, 0, 9, 0, false, "connect", 0.0));   // outside window
+  rows.push_back(ev_row(1, 0, 2, 0, false, "connect", 0.0));   // another vantage
+
+  const std::vector<monitor::Exemplar> top =
+      monitor::pick_exemplars(names, rows, {0, 0, 2, 3}, 4);
+  ASSERT_EQ(top.size(), 4u);
+  // Failures lead, earliest evidence first: (epoch, vantage, round, domain),
+  // names compared as strings.
+  EXPECT_FALSE(top[0].ok);
+  EXPECT_EQ(top[0].domain, "y.com");
+  EXPECT_EQ(top[0].vantage, "v1");
+  EXPECT_FALSE(top[1].ok);
+  EXPECT_EQ(top[1].domain, "x.com");
+  EXPECT_FALSE(top[2].ok);
+  EXPECT_EQ(top[2].domain, "z.com");
+  // Then the slowest success.
+  EXPECT_TRUE(top[3].ok);
+  EXPECT_EQ(top[3].domain, "slow.com");
+  EXPECT_DOUBLE_EQ(top[3].response_ms, 99.0);
+
+  EXPECT_EQ(monitor::pick_exemplars(names, rows, {0, 0, 2, 3}, 2).size(), 2u);
+  EXPECT_TRUE(monitor::pick_exemplars(names, rows, {0, 0, 2, 3}, 0).empty());
+}
+
+TEST(Attribution, AggregateCodecsRoundTrip) {
+  monitor::StageBreakdown b;
+  b.connect = 3;
+  b.timeout = 1;
+  b.other = 2;
+  auto b2 = monitor::StageBreakdown::from_json(test::as_dom(b));
+  ASSERT_TRUE(b2) << b2.error();
+  EXPECT_EQ(test::encode(b2.value()), test::encode(b));
+
+  monitor::PhaseProfile p;
+  p.queries = 7;
+  p.failures = 2;
+  p.availability = 5.0 / 7.0;
+  p.reused_fraction = 0.4;
+  p.response_ms = 33.5;
+  p.tls_ms = 8.25;
+  auto p2 = monitor::PhaseProfile::from_json(test::as_dom(p));
+  ASSERT_TRUE(p2) << p2.error();
+  EXPECT_EQ(test::encode(p2.value()), test::encode(p));
+
+  monitor::PhaseDelta d;
+  d.availability = -0.5;
+  d.wait_ms = 12.0;
+  auto d2 = monitor::PhaseDelta::from_json(test::as_dom(d));
+  ASSERT_TRUE(d2) << d2.error();
+  EXPECT_EQ(test::encode(d2.value()), test::encode(d));
+
+  monitor::Exemplar x;
+  x.vantage = "ec2-ohio";
+  x.domain = "example.com";
+  x.epoch = 4;
+  x.round = 1;
+  x.ok = false;
+  x.failure_stage = "connect";
+  x.error_class = "connect-refused";
+  x.flight_ref = "epoch4/ec2-ohio/dns.google/r1/example.com";
+  auto x2 = monitor::Exemplar::from_json(test::as_dom(x));
+  ASSERT_TRUE(x2) << x2.error();
+  EXPECT_EQ(test::encode(x2.value()), test::encode(x));
+
+  EXPECT_FALSE(monitor::StageBreakdown::from_json(util::Json(1.0)));
+  EXPECT_FALSE(monitor::PhaseProfile::from_json(util::Json(1.0)));
+  EXPECT_FALSE(monitor::PhaseDelta::from_json(util::Json(1.0)));
+  EXPECT_FALSE(monitor::Exemplar::from_json(util::Json(1.0)));
 }
 
 // The re-simulating path diagnosis used before the monitor kept evidence,
@@ -848,24 +1070,21 @@ TEST(Diagnose, RefusesEventsWithoutEvidence) {
 }
 
 TEST(Monitor, EpochSeedsRoundTripAllSixtyFourBits) {
-  monitor::EpochSummary summary;
-  summary.epoch = 3;
-  summary.seed = std::numeric_limits<std::uint64_t>::max();
-  const std::string bytes = test::encode(summary);
-  EXPECT_NE(bytes.find("\"seed\":\"ffffffffffffffff\""), std::string::npos) << bytes;
-  auto back = monitor::EpochSummary::from_json(test::as_dom(summary));
-  ASSERT_TRUE(back) << back.error();
-  EXPECT_EQ(back.value().seed, summary.seed);
-
-  // Derived epoch seeds use all 64 bits; a whole monitor file keeps them.
-  auto result = monitor::run_monitor(small_monitor_spec(), 1);
+  // Epoch seeds are re-derived from the spec seed, which the file keeps as
+  // 16 hex digits: all 64 bits survive.
+  monitor::MonitorSpec spec = small_monitor_spec();
+  spec.epochs = 2;
+  spec.base.seed = std::numeric_limits<std::uint64_t>::max();
+  auto result = monitor::run_monitor(spec, 1);
   ASSERT_TRUE(result) << result.error();
+  const std::string bytes = test::encode(result.value());
+  EXPECT_NE(bytes.find("\"seed\":\"ffffffffffffffff\""), std::string::npos) << bytes;
   auto decoded = monitor::MonitorResult::from_json(test::as_dom(result.value()));
   ASSERT_TRUE(decoded) << decoded.error();
-  ASSERT_EQ(decoded.value().epochs.size(), result.value().epochs.size());
-  for (std::size_t i = 0; i < decoded.value().epochs.size(); ++i) {
-    EXPECT_EQ(decoded.value().epochs[i].seed, result.value().epochs[i].seed) << "epoch " << i;
-  }
+  EXPECT_EQ(decoded.value().spec.base.seed, spec.base.seed);
+  ASSERT_EQ(decoded.value().epochs.size(), 2u);
+  EXPECT_EQ(decoded.value().epochs, result.value().epochs);
+  EXPECT_EQ(decoded.value().epochs[0].seed, core::shard_seeds(spec.base.seed, 2)[0]);
 }
 
 TEST(Diagnose, RejectsInvalidInputs) {

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/parallel_campaign.h"
+#include "encode_util.h"
 #include "resolver/registry.h"
 
 namespace ednsm::core {
@@ -90,7 +91,7 @@ TEST(ParallelCampaign, MergedLedgerMatchesRecords) {
 TEST(ParallelCampaign, SpecIsPreservedVerbatim) {
   const MeasurementSpec spec = small_spec();
   const CampaignResult result = run_parallel_campaign(spec, 2);
-  EXPECT_EQ(result.spec.to_json().dump(), spec.to_json().dump());
+  EXPECT_EQ(test::encode(result.spec), test::encode(spec));
 }
 
 TEST(ParallelCampaign, MergedRecordsMatchTheirShard) {

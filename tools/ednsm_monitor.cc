@@ -17,9 +17,11 @@
 //                 [--json] [--out diagnosis.json]
 //   ednsm_monitor export --prom --in monitor.json
 //
-// `diagnose` attributes every event to a ranked cause from the per-query
-// evidence rows the monitor file keeps; it simulates nothing. See
-// monitor/diagnose.h.
+// The monitor file holds the per-query evidence rows and the spec only;
+// `slo`, `events`, `export` and `diagnose` refold the series, SLOs and events
+// from those rows (monitor/monitor.h), so they show exactly what `run` wrote.
+// `diagnose` attributes every event to a ranked cause from the same rows; it
+// simulates nothing. See monitor/diagnose.h.
 //
 // The run and diagnose outputs are pure functions of the spec:
 // byte-identical series, SLO, event, evidence and diagnosis files for any
@@ -176,13 +178,6 @@ bool apply_run_flags(const Args& args, monitor::MonitorSpec& spec) {
   return true;
 }
 
-// `samples` as a JSON array at indent 2, with a trailing newline.
-std::string slos_json(const std::vector<monitor::SloSample>& samples) {
-  util::JsonWriter w(2);
-  monitor::slos_to_json(samples, w);
-  return std::move(w).take() + "\n";
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) {
@@ -241,7 +236,7 @@ int cmd_run(const Args& args) {
               static_cast<std::streamsize>(blob.size()));
   }
   if (const std::string* p = args.get("slo-out")) {
-    if (!write_file(*p, slos_json(mon.slos))) return 3;
+    if (!write_file(*p, monitor::slos_json(mon.slos) + "\n")) return 3;
   }
   if (const std::string* p = args.get("events-out")) {
     if (!write_file(*p, monitor::events_json(mon.events) + "\n")) return 3;
@@ -261,7 +256,7 @@ int cmd_slo(const Args& args) {
     return 3;
   }
   if (args.json) {
-    std::fputs(slos_json(result.value().slos).c_str(), stdout);
+    std::printf("%s\n", monitor::slos_json(result.value().slos).c_str());
     return 0;
   }
   std::printf("%-12s %-28s %5s %9s %9s %8s %8s %8s  %s\n", "vantage", "resolver", "epoch",
